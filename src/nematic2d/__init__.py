@@ -5,21 +5,21 @@ smallness threshold, the Serrin blow-up functional, the rigidity gap)
 computed and logged as first-class diagnostics."""
 
 from .config import SimConfig, parse_config
-from .diagnostics import (DiagnosticsRecord, DirectorBoundMonitor, PhiMonitor,
-                          PhiSample, RigidityReport, SerrinExponents,
-                          SerrinMonitor, admissible_exponents, basic_energy,
-                          d3_min, director_grad_l2_sq, director_grad_l4_4,
-                          director_hessian_l2_sq, phi_functional,
-                          rigidity_report, serrin_norm, smallness_condition,
+from .diagnostics import (DiagnosticsRecord, DirectorBoundMonitor,
+                          DirectorNorms, PhiMonitor, PhiSample, RigidityReport,
+                          SerrinExponents, SerrinMonitor, admissible_exponents,
+                          d3_min, density_deviation, director_grad_l2_sq,
+                          director_grad_l4_4, director_hessian_l2_sq,
+                          director_norms, phi_functional, rigidity_report,
+                          serrin_norm, smallness_condition,
                           tension_identity_residual, tension_l2_sq,
                           velocity_grad_l2_sq)
-from .director import (DegenerateDirectorError, StressTensor2D,
-                       ericksen_stress, renormalize, step_director,
-                       stress_divergence, unit_drift)
-from .fields import (DirectorField2D, Grid2D, ScalarField2D, VectorField2D,
-                     divergence, gradient, laplacian, leray_project, lp_norm,
-                     spectral_tail_fraction, vector_lp_norm,
-                     velocity_from_stream)
+from .director import (DegenerateDirectorError, director_derivatives,
+                       ericksen_stress, renormalize, step_director, unit_drift)
+from .fields import (DirectorField2D, Grid2D, NonFiniteError, ScalarField2D,
+                     VectorField2D, divergence, gradient, laplacian,
+                     leray_project, lp_norm, spectral_tail_fraction,
+                     vector_lp_norm, velocity_from_stream)
 from .inequalities import (InequalityReport, check_gagliardo_nirenberg,
                            check_ladyzhenskaya, check_log_sobolev,
                            check_poincare_density, gaussian_blob,
@@ -32,7 +32,6 @@ from .scenarios import SCENARIOS, make_scenario
 from .simulation import (RunMonitors, RunResult, initial_state, replay_csv,
                          simulate, step_once)
 from .state import SimState, state_violations
-from .transport import (CFLError, DensityInvariants, advect_density,
-                        cfl_number, density_invariants)
+from .transport import CFLError, advect_density, cfl_number
 
 __version__ = "0.1.0"

@@ -13,71 +13,73 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .director import _director_gradients
-from .fields import (DirectorField2D, ScalarField2D, VectorField2D,
-                     grad_arrays, integral, laplacian_array, lp_norm)
+from .director import director_derivatives
+from .fields import (DirectorField2D, NonFiniteError, ScalarField2D,
+                     VectorField2D, grad_arrays, integral, lp_norm_array)
 from .momentum import kinetic_energy
 
 
 # ---------------------------------------------------------------------------
 # norms of director and velocity derivatives
 
-def director_grad_sq_field(d: DirectorField2D) -> np.ndarray:
-    """Pointwise |grad d|^2 summed over the three components."""
-    _, grad_sq = _director_gradients(d)
-    return grad_sq
+@dataclass(frozen=True)
+class DirectorNorms:
+    """Integral norms of the director's derivatives from one derivative pass
+    (director_norms). On the torus int |lap d|^2 equals the squared L^2 norm
+    of all second derivatives, and int |grad lap d|^2 that of all third
+    derivatives."""
+
+    grad_l2_sq: float     # int |grad d|^2
+    grad_l4_4: float      # int |grad d|^4
+    hess_l2_sq: float     # int |lap d|^2
+    third_l2_sq: float    # int |grad lap d|^2
+    tension_l2_sq: float  # int |lap d + |grad d|^2 d|^2
+
+    @property
+    def identity_residual(self) -> float:
+        """| int |lap d + |grad d|^2 d|^2 - int(|lap d|^2 - |grad d|^4) |.
+
+        Both sides agree for exactly unit-length maps; the residual scales
+        linearly in the unit-length drift and is a constraint-quality meter.
+        """
+        return abs(self.tension_l2_sq - (self.hess_l2_sq - self.grad_l4_4))
+
+
+def director_norms(d: DirectorField2D) -> DirectorNorms:
+    """All of DirectorNorms from one forward transform per component."""
+    g = d.grid
+    ders, gs = director_derivatives(d, order=3)
+    return DirectorNorms(
+        grad_l2_sq=integral(g, gs), grad_l4_4=integral(g, gs * gs),
+        hess_l2_sq=sum(integral(g, x[2] ** 2) for x in ders),
+        third_l2_sq=sum(integral(g, x[3] ** 2 + x[4] ** 2) for x in ders),
+        tension_l2_sq=sum(integral(g, (x[2] + gs * c.values) ** 2)
+                          for x, c in zip(ders, d.components)))
 
 
 def director_grad_l2_sq(d: DirectorField2D) -> float:
-    return integral(d.grid, director_grad_sq_field(d))
+    return integral(d.grid, director_derivatives(d)[1])
 
 
 def director_grad_l4_4(d: DirectorField2D) -> float:
-    """Integral of |grad d|^4."""
-    gs = director_grad_sq_field(d)
-    return integral(d.grid, gs * gs)
+    return director_norms(d).grad_l4_4
 
 
 def director_hessian_l2_sq(d: DirectorField2D) -> float:
-    """Squared L^2 norm of all second derivatives of d; on the torus this
-    equals the squared L^2 norm of lap(d), which is how it is computed."""
-    g = d.grid
-    return sum(integral(g, laplacian_array(g, c.values)**2)
-               for c in d.components)
-
-
-def director_third_deriv_l2_sq(d: DirectorField2D) -> float:
-    """Squared L^2 norm of all third derivatives, via grad(lap(d))."""
-    g = d.grid
-    out = 0.0
-    for c in d.components:
-        lx, ly = grad_arrays(g, laplacian_array(g, c.values))
-        out += integral(g, lx * lx + ly * ly)
-    return out
-
-
-def tension_sq_field(d: DirectorField2D) -> np.ndarray:
-    """Pointwise |lap(d) + |grad d|^2 d|^2 (the squared tension field)."""
-    g = d.grid
-    gs = director_grad_sq_field(d)
-    out = np.zeros(g.shape)
-    for c in d.components:
-        t = laplacian_array(g, c.values) + gs * c.values
-        out += t * t
-    return out
+    return director_norms(d).hess_l2_sq
 
 
 def tension_l2_sq(d: DirectorField2D) -> float:
-    return integral(d.grid, tension_sq_field(d))
+    return director_norms(d).tension_l2_sq
+
+
+def tension_identity_residual(d: DirectorField2D) -> float:
+    return director_norms(d).identity_residual
 
 
 def velocity_grad_l2_sq(u: VectorField2D) -> float:
-    g = u.grid
-    out = 0.0
-    for c in (u.u1, u.u2):
-        gx, gy = grad_arrays(g, c.values)
-        out += integral(g, gx * gx + gy * gy)
-    return out
+    grads = (grad_arrays(u.grid, c.values) for c in (u.u1, u.u2))
+    return sum(integral(u.grid, gx * gx + gy * gy) for gx, gy in grads)
 
 
 def d3_min(d: DirectorField2D) -> float:
@@ -86,37 +88,25 @@ def d3_min(d: DirectorField2D) -> float:
     return float(d.d3.values.min())
 
 
-# ---------------------------------------------------------------------------
-# energy law and the unit-constraint identity
-
-def basic_energy(rho: ScalarField2D, u: VectorField2D,
-                 d: DirectorField2D) -> tuple[float, float]:
-    """Total energy int(rho |u|^2 + |grad d|^2) and the instantaneous
-    dissipation rate integrand int(|grad u|^2 + |tension|^2)."""
-    energy = kinetic_energy(rho, u) + director_grad_l2_sq(d)
-    dissipation = velocity_grad_l2_sq(u) + tension_l2_sq(d)
-    return energy, dissipation
-
-
-def tension_identity_residual(d: DirectorField2D) -> float:
-    """| int |lap d + |grad d|^2 d|^2 - int(|lap d|^2 - |grad d|^4) |.
-
-    Both sides agree for exactly unit-length maps; the residual scales
-    linearly in the unit-length drift and is a constraint-quality meter.
-    """
-    g = d.grid
-    lap_sq = sum(integral(g, laplacian_array(g, c.values)**2)
-                 for c in d.components)
-    return abs(tension_l2_sq(d) - (lap_sq - director_grad_l4_4(d)))
+def density_deviation(rho: ScalarField2D, rho_bar: float,
+                      q: float = 2.0) -> float:
+    """||rho - rho_bar||_{L^q}: transport conserves it, so its relative drift
+    from the initial value measures the transport error."""
+    return lp_norm_array(rho.grid, rho.values - rho_bar, q)
 
 
 def smallness_condition(rho0: ScalarField2D, u0: VectorField2D,
                         d0: DirectorField2D) -> tuple[float, bool]:
     """Global-existence data threshold
-    exp(2(int rho0 |u0|^2 + int |grad d0|^2)) * int |grad d0|^2 <= 1/16."""
+    exp(2(int rho0 |u0|^2 + int |grad d0|^2)) * int |grad d0|^2 <= 1/16.
+
+    Evaluated in log space; a value beyond the float range is inf."""
     ke = kinetic_energy(rho0, u0)
     gd = director_grad_l2_sq(d0)
-    value = math.exp(2.0 * (ke + gd)) * gd
+    try:
+        value = math.exp(2.0 * (ke + gd) + math.log(gd)) if gd > 0.0 else 0.0
+    except OverflowError:
+        value = math.inf
     return value, value <= 1.0 / 16.0
 
 
@@ -152,8 +142,7 @@ class SerrinExponents:
 
 def serrin_norm(d: DirectorField2D, r: float) -> float:
     """L^r norm of the pointwise gradient magnitude |grad d|."""
-    mag = np.sqrt(director_grad_sq_field(d))
-    return lp_norm(ScalarField2D(d.grid, mag), r)
+    return lp_norm_array(d.grid, np.sqrt(director_derivatives(d)[1]), r)
 
 
 @dataclass
@@ -189,9 +178,8 @@ class RigidityReport:
 
 
 def rigidity_report(d: DirectorField2D) -> RigidityReport:
-    lhs = director_grad_l4_4(d)
-    rhs = director_hessian_l2_sq(d)
-    tension = tension_l2_sq(d)
+    n = director_norms(d)
+    lhs, rhs, tension = n.grad_l4_4, n.hess_l2_sq, n.tension_l2_sq
     gap = None if rhs == 0.0 else 1.0 - lhs / rhs
     denom = 0.5 * (rhs + lhs)
     bound = None if denom == 0.0 else tension / denom
@@ -306,7 +294,7 @@ class DiagnosticsRecord:
     def __post_init__(self) -> None:
         for name, v in vars(self).items():
             if not math.isfinite(v):
-                raise ValueError(f"non-finite diagnostic {name}")
+                raise NonFiniteError(f"non-finite diagnostic {name}")
         if self.energy_total < 0.0:
             raise ValueError("negative total energy")
         if self.rho_min < -1e-12:

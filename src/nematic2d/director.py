@@ -8,30 +8,13 @@ after every step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .fields import (DirectorField2D, Grid2D, ScalarField2D, VectorField2D,
-                     grad_arrays, laplacian_array)
+from .fields import DirectorField2D, VectorField2D, derivative_arrays
 
 
 class DegenerateDirectorError(RuntimeError):
     """A director length fell below the renormalization floor."""
-
-
-@dataclass(frozen=True, eq=False)
-class StressTensor2D:
-    """Symmetric trace-free elastic stress built from director gradients."""
-
-    m11: ScalarField2D
-    m12: ScalarField2D
-    m21: ScalarField2D
-    m22: ScalarField2D
-
-    @property
-    def grid(self) -> Grid2D:
-        return self.m11.grid
 
 
 def unit_drift(d: DirectorField2D) -> float:
@@ -43,21 +26,23 @@ def unit_drift(d: DirectorField2D) -> float:
 def renormalize(d: DirectorField2D, floor: float = 0.5) -> DirectorField2D:
     """Divide each node by its Euclidean length; rejects lengths below
     `floor` (projecting a near-zero average onto the sphere is meaningless)."""
-    norm = np.sqrt(d.d1.values**2 + d.d2.values**2 + d.d3.values**2)
+    return _renormalized(d.grid, [c.values for c in d.components], floor)
+
+
+def _renormalized(grid, comps, floor) -> DirectorField2D:
+    norm = np.sqrt(comps[0]**2 + comps[1]**2 + comps[2]**2)
     nmin = norm.min()
     if nmin < floor:
         raise DegenerateDirectorError(
             f"director length {nmin:.3g} below floor {floor:.3g}")
-    return DirectorField2D.from_arrays(d.grid, d.d1.values / norm,
-                                       d.d2.values / norm,
-                                       d.d3.values / norm)
+    return DirectorField2D.from_arrays(grid, *(c / norm for c in comps))
 
 
-def _director_gradients(d: DirectorField2D):
-    g = d.grid
-    grads = [grad_arrays(g, c.values) for c in d.components]
-    grad_sq = sum(gx * gx + gy * gy for gx, gy in grads)
-    return grads, grad_sq
+def director_derivatives(d: DirectorField2D, order: int = 1):
+    """derivative_arrays of each director component, and the pointwise
+    |grad d|^2."""
+    out = [derivative_arrays(d.grid, c.values, order) for c in d.components]
+    return out, sum(x[0] * x[0] + x[1] * x[1] for x in out)
 
 
 def step_director(d: DirectorField2D, u: VectorField2D, dt: float,
@@ -74,43 +59,24 @@ def step_director(d: DirectorField2D, u: VectorField2D, dt: float,
     if d.grid != u.grid:
         raise ValueError("director and velocity grids differ")
     g = d.grid
-    grads, grad_sq = _director_gradients(d)
+    grads, grad_sq = director_derivatives(d)
     u1, u2 = u.u1.values, u.u2.values
     denom = 1.0 + dt * g.k2
     star = []
     for comp, (gx, gy) in zip(d.components, grads):
         rhs = comp.values + dt * (-(u1 * gx + u2 * gy) + grad_sq * comp.values)
         star.append(np.fft.ifft2(np.fft.fft2(rhs) / denom).real)
-    raw = DirectorField2D.from_arrays(g, *star)
-    return renormalize(raw, floor=floor)
+    return _renormalized(g, star, floor)
 
 
-def ericksen_stress(d: DirectorField2D) -> tuple[StressTensor2D, VectorField2D]:
-    """Elastic stress M = grad(d) (x) grad(d) - |grad(d)|^2/2 I and the
-    body force f_i = sum_k (d_i d^k) lap(d^k) it exerts on the fluid.
+def ericksen_stress(d: DirectorField2D) -> VectorField2D:
+    """Body force f_i = sum_k (d_i d^k) lap(d^k) of the elastic stress
+    M = grad(d) (x) grad(d) - |grad(d)|^2/2 I on the fluid.
 
     div(M) and f differ by the pure gradient grad(|grad d|^2 / 2), which the
     pressure absorbs, so their divergence-free projections agree.
     """
-    g = d.grid
-    grads, grad_sq = _director_gradients(d)
-    m11 = sum(gx * gx for gx, _ in grads) - 0.5 * grad_sq
-    m12 = sum(gx * gy for gx, gy in grads)
-    laps = [laplacian_array(g, c.values) for c in d.components]
-    f1 = sum(gx * lap for (gx, _), lap in zip(grads, laps))
-    f2 = sum(gy * lap for (_, gy), lap in zip(grads, laps))
-    tensor = StressTensor2D(m11=ScalarField2D(g, m11),
-                            m12=ScalarField2D(g, m12),
-                            m21=ScalarField2D(g, m12),
-                            m22=ScalarField2D(g, -m11))
-    return tensor, VectorField2D.from_arrays(g, f1, f2)
-
-
-def stress_divergence(t: StressTensor2D) -> VectorField2D:
-    """Row-wise divergence (d1 m11 + d2 m12, d1 m21 + d2 m22)."""
-    g = t.grid
-    d1m11, _ = grad_arrays(g, t.m11.values)
-    _, d2m12 = grad_arrays(g, t.m12.values)
-    d1m21, _ = grad_arrays(g, t.m21.values)
-    _, d2m22 = grad_arrays(g, t.m22.values)
-    return VectorField2D.from_arrays(g, d1m11 + d2m12, d1m21 + d2m22)
+    ders, _ = director_derivatives(d, order=2)
+    f1 = sum(gx * lap for gx, _, lap in ders)
+    f2 = sum(gy * lap for _, gy, lap in ders)
+    return VectorField2D.from_arrays(d.grid, f1, f2)

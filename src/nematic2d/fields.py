@@ -15,6 +15,10 @@ from functools import cached_property
 import numpy as np
 
 
+class NonFiniteError(ValueError):
+    """A field or a logged diagnostic took a non-finite value."""
+
+
 @dataclass(frozen=True)
 class Grid2D:
     """Uniform periodic grid: sample counts (nx, ny) on an lx-by-ly box."""
@@ -91,7 +95,7 @@ class ScalarField2D:
         if v.shape != self.grid.shape:
             raise ValueError(f"expected shape {self.grid.shape}, got {v.shape}")
         if not np.isfinite(v).all():
-            raise ValueError("field values must be finite")
+            raise NonFiniteError("field values must be finite")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -179,11 +183,24 @@ def integral(grid: Grid2D, values: np.ndarray) -> float:
     return float(values.sum() * grid.cell_area)
 
 
+def derivative_arrays(grid: Grid2D, a: np.ndarray,
+                      order: int = 1) -> list[np.ndarray]:
+    """[dx a, dy a] at order 1, then lap a at order 2 and [dx lap a,
+    dy lap a] at order 3, all from one forward transform of a."""
+    h = np.fft.fft2(a)
+    out = [np.fft.ifft2(1j * grid.kx * h).real,
+           np.fft.ifft2(1j * grid.ky * h).real]
+    if order >= 2:
+        h = -grid.k2 * h
+        out.append(np.fft.ifft2(h).real)
+    if order >= 3:
+        out += [np.fft.ifft2(1j * grid.kx * h).real,
+                np.fft.ifft2(1j * grid.ky * h).real]
+    return out
+
+
 def grad_arrays(grid: Grid2D, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    ah = np.fft.fft2(a)
-    gx = np.fft.ifft2(1j * grid.kx * ah).real
-    gy = np.fft.ifft2(1j * grid.ky * ah).real
-    return gx, gy
+    return tuple(derivative_arrays(grid, a))
 
 
 def laplacian_array(grid: Grid2D, a: np.ndarray) -> np.ndarray:
@@ -195,32 +212,45 @@ def divergence_arrays(grid: Grid2D, a1: np.ndarray, a2: np.ndarray) -> np.ndarra
     return np.fft.ifft2(dh).real
 
 
-def convect_array(grid: Grid2D, u1: np.ndarray, u2: np.ndarray,
-                  a: np.ndarray) -> np.ndarray:
-    """Convective derivative u . grad(a), pseudo-spectral products."""
-    gx, gy = grad_arrays(grid, a)
-    return u1 * gx + u2 * gy
+def lp_norm_array(grid: Grid2D, values: np.ndarray, p: float) -> float:
+    """L^p norm by the rectangle rule; p = inf returns the grid max of |f|."""
+    if p != np.inf and p < 1:
+        raise ValueError("p must be >= 1 or inf")
+    a = np.abs(values)
+    if p == np.inf:
+        return float(a.max())
+    if p == 2:
+        return float(np.sqrt((a * a).sum() * grid.cell_area))
+    return float(((a**p).sum() * grid.cell_area) ** (1.0 / p))
+
+
+def project_arrays(grid: Grid2D, a1: np.ndarray, a2: np.ndarray):
+    """Helmholtz split a = w + grad(phi) with div(w) = 0; returns (w1, w2, phi).
+
+    Modewise w_hat = a_hat - k (k . a_hat)/|k|^2; the zero mode of a passes
+    through unchanged and phi has zero mean.
+    """
+    v1h = np.fft.fft2(a1)
+    v2h = np.fft.fft2(a2)
+    kx, ky = grid.kx, grid.ky
+    ksq = kx**2 + ky**2
+    safe = np.where(ksq == 0.0, 1.0, ksq)
+    coeff = np.where(ksq == 0.0, 0.0, (kx * v1h + ky * v2h) / safe)
+    return (np.fft.ifft2(v1h - kx * coeff).real,
+            np.fft.ifft2(v2h - ky * coeff).real,
+            np.fft.ifft2(-1j * coeff).real)
 
 
 # ---------------------------------------------------------------------------
 # public field operations
 
 def lp_norm(f: ScalarField2D, p: float) -> float:
-    """L^p norm by the rectangle rule; p = inf returns the grid max of |f|."""
-    if p != np.inf and p < 1:
-        raise ValueError("p must be >= 1 or inf")
-    a = np.abs(f.values)
-    if p == np.inf:
-        return float(a.max())
-    if p == 2:
-        return float(np.sqrt((a * a).sum() * f.grid.cell_area))
-    return float(((a**p).sum() * f.grid.cell_area) ** (1.0 / p))
+    return lp_norm_array(f.grid, f.values, p)
 
 
 def vector_lp_norm(v: VectorField2D, p: float) -> float:
     """L^p norm of the pointwise Euclidean magnitude |v|."""
-    mag = np.hypot(v.u1.values, v.u2.values)
-    return lp_norm(ScalarField2D(v.grid, mag), p)
+    return lp_norm_array(v.grid, np.hypot(v.u1.values, v.u2.values), p)
 
 
 def gradient(f: ScalarField2D) -> VectorField2D:
@@ -245,23 +275,9 @@ def velocity_from_stream(psi: ScalarField2D) -> VectorField2D:
 
 
 def leray_project(v: VectorField2D) -> tuple[VectorField2D, ScalarField2D]:
-    """Helmholtz split v = w + grad(phi) with div(w) = 0.
-
-    Modewise w_hat = v_hat - k (k . v_hat)/|k|^2; the zero mode of v passes
-    through unchanged and phi has zero mean.
-    """
-    g = v.grid
-    v1h = np.fft.fft2(v.u1.values)
-    v2h = np.fft.fft2(v.u2.values)
-    kx, ky = g.kx, g.ky
-    ksq = kx**2 + ky**2
-    safe = np.where(ksq == 0.0, 1.0, ksq)
-    kdotv = kx * v1h + ky * v2h
-    coeff = np.where(ksq == 0.0, 0.0, kdotv / safe)
-    w1 = np.fft.ifft2(v1h - kx * coeff).real
-    w2 = np.fft.ifft2(v2h - ky * coeff).real
-    phi = np.fft.ifft2(-1j * coeff).real
-    return VectorField2D.from_arrays(g, w1, w2), ScalarField2D(g, phi)
+    """Divergence-free part of v and its gradient potential (project_arrays)."""
+    w1, w2, phi = project_arrays(v.grid, v.u1.values, v.u2.values)
+    return VectorField2D.from_arrays(v.grid, w1, w2), ScalarField2D(v.grid, phi)
 
 
 def spectral_tail_fraction(f: ScalarField2D, cut: float = 0.5) -> float:

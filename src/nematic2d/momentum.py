@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import (ScalarField2D, VectorField2D, convect_array, integral,
-                     laplacian_array, leray_project)
+from .fields import (ScalarField2D, VectorField2D, derivative_arrays,
+                     grad_arrays, integral, laplacian_array, project_arrays)
 
 
 class ConvergenceError(RuntimeError):
@@ -77,12 +77,11 @@ def step_momentum(rho: ScalarField2D, u: VectorField2D, force: VectorField2D,
     a = rv / dt
     rho_bar = float(rv.mean())
     u1, u2 = u.u1.values, u.u2.values
-    conv1 = convect_array(g, u1, u2, u1)
-    conv2 = convect_array(g, u1, u2, u2)
-    b = np.stack([
-        a * u1 - rv * conv1 - force.u1.values + 0.5 * laplacian_array(g, u1),
-        a * u2 - rv * conv2 - force.u2.values + 0.5 * laplacian_array(g, u2),
-    ])
+    rows = []
+    for c, f in ((u1, force.u1.values), (u2, force.u2.values)):
+        cx, cy, lap = derivative_arrays(g, c, 2)
+        rows.append(a * c - rv * (u1 * cx + u2 * cy) - f + 0.5 * lap)
+    b = np.stack(rows)
 
     def apply_a(w):
         return np.stack([a * w[0] - 0.5 * laplacian_array(g, w[0]),
@@ -97,8 +96,8 @@ def step_momentum(rho: ScalarField2D, u: VectorField2D, force: VectorField2D,
     star, iters = _pcg(apply_a, apply_minv, b, cg_tol, cg_max_iter)
     if info is not None:
         info["cg_iterations"] = iters
-    w, phi = leray_project(VectorField2D.from_arrays(g, star[0], star[1]))
-    return w, ScalarField2D(g, phi.values / dt)
+    w1, w2, phi = project_arrays(g, star[0], star[1])
+    return VectorField2D.from_arrays(g, w1, w2), ScalarField2D(g, phi / dt)
 
 
 def kinetic_energy(rho: ScalarField2D, u: VectorField2D) -> float:
@@ -112,8 +111,15 @@ def material_derivative(u_new: VectorField2D, u_old: VectorField2D,
                         dt: float) -> VectorField2D:
     """Acceleration along particle paths: (u_new - u_old)/dt
     + u_new . grad(u_new)."""
-    g = u_new.grid
+    grads = [grad_arrays(u_new.grid, c.values) for c in (u_new.u1, u_new.u2)]
+    return VectorField2D.from_arrays(
+        u_new.grid, *acceleration_arrays(u_new, u_old, dt, grads))
+
+
+def acceleration_arrays(u_new: VectorField2D, u_old: VectorField2D, dt: float,
+                        grads) -> list[np.ndarray]:
+    """material_derivative as arrays, given [(dx, dy)] of u_new's components."""
     n1, n2 = u_new.u1.values, u_new.u2.values
-    a1 = (n1 - u_old.u1.values) / dt + convect_array(g, n1, n2, n1)
-    a2 = (n2 - u_old.u2.values) / dt + convect_array(g, n1, n2, n2)
-    return VectorField2D.from_arrays(g, a1, a2)
+    return [(c.values - c0.values) / dt + (n1 * gx + n2 * gy)
+            for c, c0, (gx, gy) in zip((u_new.u1, u_new.u2),
+                                       (u_old.u1, u_old.u2), grads)]

@@ -11,6 +11,7 @@ than an unhandled error.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,10 +21,10 @@ from . import diagnostics as diag
 from .config import SimConfig
 from .director import (DegenerateDirectorError, ericksen_stress, step_director,
                        unit_drift)
-from .fields import (ScalarField2D, divergence, grad_arrays, integral,
-                     lp_norm, spectral_tail_fraction)
+from .fields import (NonFiniteError, grad_arrays, integral,
+                     spectral_tail_fraction)
 from .io import export_heatmap, read_csv, write_csv, write_snapshot
-from .momentum import (ConvergenceError, kinetic_energy, material_derivative,
+from .momentum import (ConvergenceError, acceleration_arrays, kinetic_energy,
                        step_momentum)
 from .scenarios import make_scenario
 from .state import SimState
@@ -37,6 +38,11 @@ D3_FLOOR_SLACK = 1e-4
 IDENTITY_RESIDUAL_ABS = 1e-8
 IDENTITY_RESIDUAL_DRIFT = 10.0
 BOUND_SLACK = 1e-3
+
+
+def energy_slack(e0, dt, steps=1):
+    """Allowed energy rise over `steps` steps of size dt."""
+    return steps * (ENERGY_SLACK_REL * e0 + ENERGY_SLACK_DT2 * dt * dt)
 
 
 @dataclass
@@ -69,8 +75,7 @@ class RunMonitors:
     def fresh(cls, cfg: SimConfig, state: SimState) -> "RunMonitors":
         e0 = kinetic_energy(state.rho, state.u) + diag.director_grad_l2_sq(state.d)
         value, ok = diag.smallness_condition(state.rho, state.u, state.d)
-        rho0_q2 = lp_norm(ScalarField2D(state.grid,
-                                        state.rho.values - cfg.rho_bar), 2.0)
+        rho0_q2 = diag.density_deviation(state.rho, cfg.rho_bar)
         return cls(e0=e0, rho0_q2=rho0_q2, rho_bar=cfg.rho_bar,
                    d3_min0=diag.d3_min(state.d), smallness_value=value,
                    smallness_ok=ok, serrin=diag.SerrinMonitor(cfg.serrin_exponents()))
@@ -96,7 +101,7 @@ def step_once(state: SimState, cfg: SimConfig, dt: float,
     """One coupled step of size dt from the given state."""
     rho1 = advect_density(state.rho, state.u, dt, cfl_limit=cfg.cfl)
     d1 = step_director(state.d, state.u, dt)
-    _, force = ericksen_stress(d1)
+    force = ericksen_stress(d1)
     u1, p1 = step_momentum(rho1, state.u, force, dt, cg_tol=cfg.cg_tol,
                            cg_max_iter=cfg.cg_max_iter, info=info)
     return SimState(rho=rho1, u=u1, p=p1, d=d1, t=state.t + dt,
@@ -108,28 +113,26 @@ def _sample(state: SimState, cfg: SimConfig, mon: RunMonitors, dt: float
     rho, u, d = state.rho, state.u, state.d
     g = state.grid
     ke = kinetic_energy(rho, u)
-    gd2 = diag.director_grad_l2_sq(d)
-    hess = diag.director_hessian_l2_sq(d)
-    gd4 = diag.director_grad_l4_4(d)
-    tension = diag.tension_l2_sq(d)
-    grad_u = diag.velocity_grad_l2_sq(u)
+    n = diag.director_norms(d)
+    gd2, hess = n.grad_l2_sq, n.hess_l2_sq
+    gu = [grad_arrays(g, c.values) for c in (u.u1, u.u2)]
+    grad_u = sum(integral(g, gx * gx + gy * gy) for gx, gy in gu)
     energy = ke + gd2
-    dissipation = grad_u + tension
-    residual = abs(tension - (hess - gd4))
-    drift_q2 = abs(lp_norm(ScalarField2D(g, rho.values - mon.rho_bar), 2.0)
-                   - mon.rho0_q2) / max(mon.rho0_q2, 1e-12)
+    dissipation = grad_u + n.tension_l2_sq
+    residual = n.identity_residual
+    drift_q2 = (abs(diag.density_deviation(rho, mon.rho_bar) - mon.rho0_q2)
+                / max(mon.rho0_q2, 1e-12))
     d3m = diag.d3_min(d)
     udrift = unit_drift(d)
-    divu = lp_norm(divergence(u), 2.0)
+    divu = math.sqrt(integral(g, (gu[0][0] + gu[1][1]) ** 2))
 
     # higher-order monitor; time derivatives are backward differences
     # against the previous cadence sample
     rho_udot = dt_h1 = 0.0
     if mon.prev_t is not None and state.t > mon.prev_t:
         span = state.t - mon.prev_t
-        udot = material_derivative(u, mon.prev_u, span)
-        rho_udot = integral(g, rho.values * (udot.u1.values**2
-                                             + udot.u2.values**2))
+        a1, a2 = acceleration_arrays(u, mon.prev_u, span, gu)
+        rho_udot = integral(g, rho.values * (a1**2 + a2**2))
         for c1, c0 in zip(d.components, mon.prev_d.components):
             dtc = (c1.values - c0.values) / span
             gx, gy = grad_arrays(g, dtc)
@@ -137,7 +140,7 @@ def _sample(state: SimState, cfg: SimConfig, mon: RunMonitors, dt: float
     phi_value = mon.phi.update(diag.PhiSample(
         t=state.t, grad_u_l2_sq=grad_u, grad_d_h1_sq=gd2 + hess,
         rho_udot_l2_sq=rho_udot, dt_d_h1_sq=dt_h1,
-        hess_d_h1_sq=hess + diag.director_third_deriv_l2_sq(d)))
+        hess_d_h1_sq=hess + n.third_l2_sq))
 
     mon.bound.update(state.t, gd2, hess)
     mon.d3_run_min = min(mon.d3_run_min, d3m)
@@ -147,7 +150,7 @@ def _sample(state: SimState, cfg: SimConfig, mon: RunMonitors, dt: float
         residual - (IDENTITY_RESIDUAL_DRIFT * udrift + IDENTITY_RESIDUAL_ABS))
     if mon.prev_energy is not None:
         steps = max(state.step - mon.prev_energy_step, 1)
-        slack = steps * (ENERGY_SLACK_REL * mon.e0 + ENERGY_SLACK_DT2 * dt * dt)
+        slack = energy_slack(mon.e0, dt, steps)
         mon.max_energy_excess = max(mon.max_energy_excess,
                                     energy - mon.prev_energy - slack)
     mon.prev_energy = energy
@@ -157,7 +160,7 @@ def _sample(state: SimState, cfg: SimConfig, mon: RunMonitors, dt: float
 
     return diag.DiagnosticsRecord(
         t=state.t, energy_total=energy, dissipation=dissipation,
-        grad_d_l2_sq=gd2, hess_d_l2_sq=hess, grad_d_l4_4=gd4,
+        grad_d_l2_sq=gd2, hess_d_l2_sq=hess, grad_d_l4_4=n.grad_l4_4,
         rho_min=float(rho.values.min()), rho_max=float(rho.values.max()),
         rho_drift_q2=drift_q2, d3_min=d3m, unit_drift=udrift,
         serrin_increment=mon.serrin.last_increment,
@@ -215,19 +218,15 @@ def simulate(cfg: SimConfig, state: SimState | None = None,
     pending_snaps = sorted(float(s) for s in snapshot_times)
     t0, step0 = state.t, state.step
     dt_ref = cfg.cfl * min(cfg.grid().dx, cfg.grid().dy)
-    if not resuming:
-        records.append(_sample(state, cfg, monitors, cfg.dt or dt_ref))
 
     failure = None
     eps = 1e-12 * max(1.0, abs(cfg.t_end))
     try:
+        if not resuming:
+            records.append(_sample(state, cfg, monitors, cfg.dt or dt_ref))
         while state.t < cfg.t_end - eps:
             if cfg.dt is not None:
                 dt = cfg.dt
-                if cfl_number(state.u, dt) > cfg.cfl:
-                    raise CFLError(
-                        f"CFL {cfl_number(state.u, dt):.3g} above target "
-                        f"{cfg.cfl:.3g} at fixed dt")
             else:
                 nu = cfl_number(state.u, 1.0)
                 dt = cfg.cfl / nu if nu > 0.0 else dt_ref
@@ -248,7 +247,8 @@ def simulate(cfg: SimConfig, state: SimState | None = None,
                     p = out / f"snapshot_t{state.t:.6f}.nlc2"
                     write_snapshot(p, state)
                     snapshot_paths.append(str(p))
-    except (CFLError, DegenerateDirectorError, ConvergenceError) as exc:
+    except (CFLError, DegenerateDirectorError, ConvergenceError,
+            NonFiniteError) as exc:
         failure = {"step": state.step, "cause": type(exc).__name__,
                    "message": str(exc)}
 
@@ -288,9 +288,7 @@ def replay_csv(path) -> list[str]:
         out.append("Serrin accumulator decreased")
     e = cols["energy_total"]
     if len(e) > 1:
-        dts = np.diff(t)
-        slack = ENERGY_SLACK_REL * e[0] + ENERGY_SLACK_DT2 * dts * dts
-        excess = np.diff(e) - slack
+        excess = np.diff(e) - energy_slack(e[0], np.diff(t))
         if np.any(excess > 0.0):
             out.append(f"energy law violated by up to {excess.max():.3g}")
     return out

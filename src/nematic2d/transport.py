@@ -8,11 +8,9 @@ output value lies in [min(input), max(input)].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .fields import Grid2D, ScalarField2D, VectorField2D, lp_norm
+from .fields import Grid2D, ScalarField2D, VectorField2D
 
 
 class CFLError(RuntimeError):
@@ -109,27 +107,3 @@ def advect_density(rho: ScalarField2D, u: VectorField2D, dt: float,
     fx, fy = foot_points(u, dt)
     return ScalarField2D(rho.grid, sample_bicubic(rho.grid, rho.values,
                                                   fx, fy, limit=True))
-
-
-@dataclass
-class DensityInvariants:
-    """Measured transport invariants: relative L^q norm drifts of rho - rho_bar
-    against the initial field, plus the current density range."""
-
-    drifts: dict[float, float]
-    rho_min: float
-    rho_max: float
-
-
-def density_invariants(rho: ScalarField2D, rho0: ScalarField2D, rho_bar: float,
-                       qs=(2.0,), floor: float = 1e-12) -> DensityInvariants:
-    if rho.grid != rho0.grid:
-        raise ValueError("fields share no grid")
-    drifts = {}
-    for q in qs:
-        n0 = lp_norm(ScalarField2D(rho0.grid, rho0.values - rho_bar), q)
-        n1 = lp_norm(ScalarField2D(rho.grid, rho.values - rho_bar), q)
-        drifts[float(q)] = abs(n1 - n0) / max(n0, floor)
-    return DensityInvariants(drifts=drifts,
-                             rho_min=float(rho.values.min()),
-                             rho_max=float(rho.values.max()))

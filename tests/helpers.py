@@ -2,7 +2,10 @@
 
 import numpy as np
 
-from nematic2d import DirectorField2D, ScalarField2D, velocity_from_stream
+from nematic2d import (DirectorField2D, ScalarField2D, VectorField2D,
+                       director_grad_l2_sq, kinetic_energy, tension_l2_sq,
+                       velocity_from_stream, velocity_grad_l2_sq)
+from nematic2d.fields import grad_arrays
 
 
 def band_limited_field(grid, rng, kmax=4, amplitude=1.0):
@@ -25,7 +28,6 @@ def solenoidal_field(grid, rng, kmax=3, amplitude=1.0):
     u = velocity_from_stream(psi)
     peak = np.hypot(u.u1.values, u.u2.values).max()
     s = amplitude / peak if peak > 0 else 0.0
-    from nematic2d import VectorField2D
     return VectorField2D.from_arrays(grid, s * u.u1.values, s * u.u2.values)
 
 
@@ -75,3 +77,27 @@ def fd_laplacian(values, dx, dy):
              + np.roll(values, 1, axis=1)) / dx**2
             + (np.roll(values, -1, axis=0) - 2 * values
                + np.roll(values, 1, axis=0)) / dy**2)
+
+
+def basic_energy(rho, u, d):
+    """Total energy int(rho |u|^2 + |grad d|^2) and the dissipation rate
+    int(|grad u|^2 + |tension|^2), summed from the package's norms."""
+    return (kinetic_energy(rho, u) + director_grad_l2_sq(d),
+            velocity_grad_l2_sq(u) + tension_l2_sq(d))
+
+
+def ericksen_tensor(d):
+    """Elastic stress M = grad(d) (x) grad(d) - |grad d|^2/2 I as the arrays
+    (m11, m12, m22); M is symmetric and trace-free."""
+    grads = [grad_arrays(d.grid, c.values) for c in d.components]
+    gsq = sum(gx * gx + gy * gy for gx, gy in grads)
+    m11 = sum(gx * gx for gx, _ in grads) - 0.5 * gsq
+    m12 = sum(gx * gy for gx, gy in grads)
+    return m11, m12, -m11
+
+
+def stress_divergence(grid, m11, m12, m22):
+    """Row-wise divergence (d1 m11 + d2 m12, d1 m12 + d2 m22)."""
+    (d1m11, _), (d1m12, d2m12), (_, d2m22) = (
+        grad_arrays(grid, m) for m in (m11, m12, m22))
+    return VectorField2D.from_arrays(grid, d1m11 + d2m12, d1m12 + d2m22)

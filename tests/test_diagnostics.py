@@ -7,7 +7,7 @@ from nematic2d import (DiagnosticsRecord, DirectorBoundMonitor,
                        DirectorField2D, Grid2D, PhiMonitor, PhiSample,
                        ScalarField2D, SerrinExponents, SerrinMonitor,
                        SimConfig, VectorField2D, admissible_exponents,
-                       basic_energy, d3_min,
+                       d3_min,
                        director_grad_l4_4, director_hessian_l2_sq,
                        make_scenario, phi_functional, renormalize,
                        rigidity_report, serrin_norm, simulate,
@@ -15,7 +15,7 @@ from nematic2d import (DiagnosticsRecord, DirectorBoundMonitor,
                        tension_identity_residual, tension_l2_sq)
 from nematic2d.fields import grad_arrays, integral
 
-from helpers import circle_director, random_unit_director
+from helpers import basic_energy, circle_director, random_unit_director
 
 
 @pytest.fixture

@@ -1,4 +1,7 @@
+import ast
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,6 +227,35 @@ class TestFailureOutcomes:
         assert res.summary["failure"]["cause"] == "CFLError"
         assert res.summary["failure"]["step"] == 0
 
+    @pytest.mark.parametrize("scenario, params, smallness", [
+        ("taylor-green", {"amplitude": 1000.0}, 0.0),  # constant director
+        ("small-director", {"ke_target": 1000.0}, math.inf),
+    ])
+    def test_large_data_gives_a_status_not_an_overflow(self, scenario, params,
+                                                       smallness):
+        # exp(2 E0) overflows a float for both initial data
+        cfg = SimConfig(nx=16, ny=16, dt=1e-3, t_end=5e-3, scenario=scenario,
+                        scenario_params=params)
+        res = simulate(cfg, write_files=False)
+        assert res.summary["status"] == "failed"
+        assert res.summary["failure"]["cause"] == "CFLError"
+        assert res.summary["smallness_value"] == smallness
+        assert res.summary["smallness_satisfied"] is (smallness == 0.0)
+
+    def test_non_finite_values_are_logged_not_raised(self, tmp_path):
+        cfg = SimConfig(nx=16, ny=16, dt=1e-3, t_end=5e-3, cfl=1e300,
+                        scenario="vacuum-bubble",
+                        scenario_params={"vortex_amp": 1e6},
+                        out_dir=str(tmp_path / "o"))
+        with np.errstate(all="ignore"):
+            res = simulate(cfg)
+        failure = res.summary["failure"]
+        assert res.summary["status"] == "failed"
+        assert failure["cause"] == "NonFiniteError"
+        assert 0 < failure["step"] <= 5
+        assert len(res.records) == failure["step"]
+        assert (tmp_path / "o" / "summary.json").exists()
+
     def test_adaptive_mode_survives_fast_flow(self):
         cfg = SimConfig(nx=32, ny=32, dt=None, t_end=0.01,
                         scenario="taylor-green",
@@ -271,3 +303,18 @@ class TestCli:
         header = out.read_text().splitlines()[0]
         assert header == "name,family_tag,lhs,rhs,ratio,holds"
         assert "ladyzhenskaya" in capsys.readouterr().out
+
+
+class TestDemos:
+    def test_demo_imports_exist(self):
+        # the demos run for minutes, so only their imports are checked
+        demos = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
+        assert demos
+        for path in demos:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (isinstance(node, ast.ImportFrom) and node.module
+                        and node.module.split(".")[0] == "nematic2d"):
+                    module = importlib.import_module(node.module)
+                    for alias in node.names:
+                        assert hasattr(module, alias.name), (path.name,
+                                                             alias.name)
