@@ -1,13 +1,13 @@
 """Stress test: a large equator-crossing texture outside every good regime.
 
 Nothing here certifies or refutes breakdown; the point is that the monitors
-stay total. The Serrin accumulator, rigidity reports and energy diagnostics
+stay total. The Serrin accumulator, rigidity ratios and energy diagnostics
 are logged either until t_end or until the solver declares a numerical
 failure (CFL breach, director degeneracy, CG stagnation), which is a logged
 outcome rather than a crash.
 """
 
-from nematic2d import (SimConfig, d3_min, initial_state, rigidity_report,
+from nematic2d import (SimConfig, d3_min, director_norms, initial_state,
                        simulate, smallness_condition)
 
 cfg = SimConfig(nx=96, ny=96, dt=2e-4, t_end=0.2, scenario="supercritical",
@@ -17,9 +17,9 @@ value, ok = smallness_condition(st.rho, st.u, st.d)
 print(f"smallness value {value:.3e} -> satisfied: {ok} (violated on purpose)")
 print(f"initial d3 min {d3_min(st.d):.3f} (crosses the equator, so the "
       "angle-condition route is closed too)")
-rep = rigidity_report(st.d)
+rep = director_norms(st.d)
 print(f"initial rigidity: |grad d|_L4^4 / |hess d|^2 = "
-      f"{rep.lhs / rep.rhs:.3f} (gap {rep.gap_ratio:.3f})")
+      f"{rep.grad_l4_4 / rep.hess_l2_sq:.3f} (gap {rep.gap_ratio:.3f})")
 
 res = simulate(cfg, write_files=False)
 s = res.summary
@@ -36,6 +36,6 @@ for rec in res.records:
 print(f"\nspectral tail fraction of the director at the end: "
       f"{s['director_tail_fraction']:.2e} (resolution-loss indicator)")
 print(f"energy monotone: {s['energy_monotone']}")
-final = rigidity_report(res.state.d)
+final = director_norms(res.state.d)
 if final.gap_ratio is not None:
     print(f"final rigidity gap: {final.gap_ratio:.3f}")

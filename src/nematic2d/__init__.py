@@ -6,14 +6,11 @@ computed and logged as first-class diagnostics."""
 
 from .config import SimConfig, parse_config
 from .diagnostics import (DiagnosticsRecord, DirectorBoundMonitor,
-                          DirectorNorms, PhiMonitor, PhiSample, RigidityReport,
+                          DirectorNorms, PhiMonitor, PhiSample,
                           SerrinExponents, SerrinMonitor, admissible_exponents,
                           d3_min, density_deviation, director_grad_l2_sq,
-                          director_grad_l4_4, director_hessian_l2_sq,
-                          director_norms, phi_functional, rigidity_report,
-                          serrin_norm, smallness_condition,
-                          tension_identity_residual, tension_l2_sq,
-                          velocity_grad_l2_sq)
+                          director_norms, phi_functional, serrin_norm,
+                          smallness_condition, velocity_grad_l2_sq)
 from .director import (DegenerateDirectorError, director_derivatives,
                        ericksen_stress, renormalize, step_director, unit_drift)
 from .fields import (DirectorField2D, Grid2D, NonFiniteError, ScalarField2D,

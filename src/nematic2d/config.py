@@ -11,8 +11,8 @@ from .diagnostics import SerrinExponents
 from .fields import Grid2D
 
 _FLOAT_KEYS = {"lx", "ly", "dt", "cfl", "t_end", "rho_bar", "e1", "e2", "e3",
-               "serrin_r", "serrin_s", "tol_unit", "cg_tol"}
-_INT_KEYS = {"nx", "ny", "cadence", "cg_max_iter", "seed"}
+               "serrin_r", "serrin_s", "cg_tol"}
+_INT_KEYS = {"nx", "ny", "cadence", "cg_max_iter"}
 _STR_KEYS = {"scenario", "out_dir"}
 KNOWN_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
 
@@ -31,12 +31,10 @@ class SimConfig:
     serrin_r: float = 4.0
     serrin_s: float = 4.0
     cadence: int = 1
-    tol_unit: float = 1e-6
     cg_tol: float = 1e-10
     cg_max_iter: int = 500
     scenario: str = "rest"
     scenario_params: dict = field(default_factory=dict)
-    seed: int = 0
     out_dir: str = "out"
 
     def __post_init__(self) -> None:

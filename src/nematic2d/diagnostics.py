@@ -1,9 +1,10 @@
 """Theorem-linked functionals of the flow state and run-level monitors.
 
-Instantaneous quantities (energies, norms, minima, the smallness threshold,
-the rigidity gap) are plain functions of fields. Time-accumulated monitors
-(the Serrin blow-up functional, the small-data director bound, and the
-higher-order energy) are small stateful classes fed by the stepping loop.
+Instantaneous quantities (energies, norms, minima, the smallness threshold)
+are plain functions of fields; the rigidity ratios are properties of
+DirectorNorms. Time-accumulated monitors (the Serrin blow-up functional, the
+small-data director bound, and the higher-order energy) are small stateful
+classes fed by the stepping loop.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import numpy as np
 
 from .director import director_derivatives
 from .fields import (DirectorField2D, NonFiniteError, ScalarField2D,
-                     VectorField2D, grad_arrays, integral, lp_norm_array)
+                     VectorField2D, component_derivatives, integral,
+                     lp_norm_array)
 from .momentum import kinetic_energy
 
 
@@ -44,6 +46,21 @@ class DirectorNorms:
         """
         return abs(self.tension_l2_sq - (self.hess_l2_sq - self.grad_l4_4))
 
+    @property
+    def gap_ratio(self) -> float | None:
+        """Rigidity gap 1 - int |grad d|^4 / int |lap d|^2, positive for
+        maps kept away from the equator; None when int |lap d|^2 = 0."""
+        if self.hess_l2_sq == 0.0:
+            return None
+        return 1.0 - self.grad_l4_4 / self.hess_l2_sq
+
+    @property
+    def prop_bound_ratio(self) -> float | None:
+        """Tension lower-bound ratio tension_l2_sq / ((hess + grad^4)/2);
+        None when the denominator is 0."""
+        denom = 0.5 * (self.hess_l2_sq + self.grad_l4_4)
+        return None if denom == 0.0 else self.tension_l2_sq / denom
+
 
 def director_norms(d: DirectorField2D) -> DirectorNorms:
     """All of DirectorNorms from one forward transform per component."""
@@ -61,25 +78,9 @@ def director_grad_l2_sq(d: DirectorField2D) -> float:
     return integral(d.grid, director_derivatives(d)[1])
 
 
-def director_grad_l4_4(d: DirectorField2D) -> float:
-    return director_norms(d).grad_l4_4
-
-
-def director_hessian_l2_sq(d: DirectorField2D) -> float:
-    return director_norms(d).hess_l2_sq
-
-
-def tension_l2_sq(d: DirectorField2D) -> float:
-    return director_norms(d).tension_l2_sq
-
-
-def tension_identity_residual(d: DirectorField2D) -> float:
-    return director_norms(d).identity_residual
-
-
 def velocity_grad_l2_sq(u: VectorField2D) -> float:
-    grads = (grad_arrays(u.grid, c.values) for c in (u.u1, u.u2))
-    return sum(integral(u.grid, gx * gx + gy * gy) for gx, gy in grads)
+    return integral(u.grid, component_derivatives(
+        u.grid, [u.u1.values, u.u2.values])[1])
 
 
 def d3_min(d: DirectorField2D) -> float:
@@ -98,11 +99,14 @@ def density_deviation(rho: ScalarField2D, rho_bar: float,
 def smallness_condition(rho0: ScalarField2D, u0: VectorField2D,
                         d0: DirectorField2D) -> tuple[float, bool]:
     """Global-existence data threshold
-    exp(2(int rho0 |u0|^2 + int |grad d0|^2)) * int |grad d0|^2 <= 1/16.
+    exp(2(int rho0 |u0|^2 + int |grad d0|^2)) * int |grad d0|^2 <= 1/16."""
+    return smallness_value(kinetic_energy(rho0, u0), director_grad_l2_sq(d0))
 
-    Evaluated in log space; a value beyond the float range is inf."""
-    ke = kinetic_energy(rho0, u0)
-    gd = director_grad_l2_sq(d0)
+
+def smallness_value(ke: float, gd: float) -> tuple[float, bool]:
+    """smallness_condition from ke = int rho0 |u0|^2 and
+    gd = int |grad d0|^2, evaluated in log space; a value beyond the float
+    range is inf."""
     try:
         value = math.exp(2.0 * (ke + gd) + math.log(gd)) if gd > 0.0 else 0.0
     except OverflowError:
@@ -152,39 +156,10 @@ class SerrinMonitor:
 
     exponents: SerrinExponents
     accumulated: float = 0.0
-    last_increment: float = 0.0
 
-    def update(self, d: DirectorField2D, dt: float) -> float:
-        inc = serrin_norm(d, self.exponents.r) ** self.exponents.s * dt
-        self.accumulated += inc
-        self.last_increment = inc
-        return inc
-
-
-# ---------------------------------------------------------------------------
-# rigidity of maps kept away from the equator
-
-@dataclass
-class RigidityReport:
-    """Both sides of the gradient-vs-hessian rigidity inequality plus the
-    tension lower-bound ratio; ratios are None when undefined (zero
-    denominators)."""
-
-    lhs: float                      # int |grad d|^4
-    rhs: float                      # squared hessian norm
-    gap_ratio: float | None         # 1 - lhs/rhs
-    tension_sq: float
-    prop_bound_ratio: float | None  # tension_sq / ((lap_sq + lhs)/2)
-
-
-def rigidity_report(d: DirectorField2D) -> RigidityReport:
-    n = director_norms(d)
-    lhs, rhs, tension = n.grad_l4_4, n.hess_l2_sq, n.tension_l2_sq
-    gap = None if rhs == 0.0 else 1.0 - lhs / rhs
-    denom = 0.5 * (rhs + lhs)
-    bound = None if denom == 0.0 else tension / denom
-    return RigidityReport(lhs=lhs, rhs=rhs, gap_ratio=gap,
-                          tension_sq=tension, prop_bound_ratio=bound)
+    def update(self, d: DirectorField2D, dt: float) -> None:
+        self.accumulated += (serrin_norm(d, self.exponents.r)
+                             ** self.exponents.s * dt)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +167,8 @@ def rigidity_report(d: DirectorField2D) -> RigidityReport:
 
 @dataclass
 class DirectorBoundMonitor:
-    threshold: float = 1.0 / 16.0
+    THRESHOLD = 1.0 / 16.0  # the paper's small-data constant
+
     sup_grad_sq: float = 0.0
     integral_hess_sq: float = 0.0
     _prev: tuple[float, float] | None = None
@@ -209,7 +185,7 @@ class DirectorBoundMonitor:
         return self.sup_grad_sq + self.integral_hess_sq
 
     def satisfied(self, slack: float = 1e-3) -> bool:
-        return self.value <= self.threshold + slack
+        return self.value <= self.THRESHOLD + slack
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +260,6 @@ class DiagnosticsRecord:
     rho_drift_q2: float
     d3_min: float
     unit_drift: float
-    serrin_increment: float
     serrin_accumulated: float
     phi_value: float
     ke: float

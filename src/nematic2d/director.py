@@ -10,7 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import DirectorField2D, VectorField2D, derivative_arrays
+from .fields import (DirectorField2D, VectorField2D, apply_multiplier,
+                     component_derivatives)
+
+# smallest director length renormalization accepts: projecting a near-zero
+# average onto the sphere is meaningless
+FLOOR = 0.5
 
 
 class DegenerateDirectorError(RuntimeError):
@@ -23,35 +28,34 @@ def unit_drift(d: DirectorField2D) -> float:
     return float(np.abs(sq - 1.0).max())
 
 
-def renormalize(d: DirectorField2D, floor: float = 0.5) -> DirectorField2D:
+def renormalize(d: DirectorField2D) -> DirectorField2D:
     """Divide each node by its Euclidean length; rejects lengths below
-    `floor` (projecting a near-zero average onto the sphere is meaningless)."""
-    return _renormalized(d.grid, [c.values for c in d.components], floor)
+    FLOOR."""
+    return _renormalized(d.grid, [c.values for c in d.components])
 
 
-def _renormalized(grid, comps, floor) -> DirectorField2D:
+def _renormalized(grid, comps) -> DirectorField2D:
     norm = np.sqrt(comps[0]**2 + comps[1]**2 + comps[2]**2)
     nmin = norm.min()
-    if nmin < floor:
+    if nmin < FLOOR:
         raise DegenerateDirectorError(
-            f"director length {nmin:.3g} below floor {floor:.3g}")
+            f"director length {nmin:.3g} below floor {FLOOR:.3g}")
     return DirectorField2D.from_arrays(grid, *(c / norm for c in comps))
 
 
 def director_derivatives(d: DirectorField2D, order: int = 1):
-    """derivative_arrays of each director component, and the pointwise
-    |grad d|^2."""
-    out = [derivative_arrays(d.grid, c.values, order) for c in d.components]
-    return out, sum(x[0] * x[0] + x[1] * x[1] for x in out)
+    """component_derivatives of the director's components."""
+    return component_derivatives(d.grid, [c.values for c in d.components],
+                                 order)
 
 
-def step_director(d: DirectorField2D, u: VectorField2D, dt: float,
-                  floor: float = 0.5) -> DirectorField2D:
+def step_director(d: DirectorField2D, u: VectorField2D,
+                  dt: float) -> DirectorField2D:
     """Advance the director one step of size dt under the velocity u.
 
     Solves (I - dt lap) d* = d + dt (-u . grad(d) + |grad(d)|^2 d)
     componentwise in Fourier space, then renormalizes. Signals
-    DegenerateDirectorError when any |d*| < floor, meaning the step is too
+    DegenerateDirectorError when any |d*| < FLOOR, meaning the step is too
     large for the constraint manifold.
     """
     if dt <= 0.0:
@@ -61,12 +65,12 @@ def step_director(d: DirectorField2D, u: VectorField2D, dt: float,
     g = d.grid
     grads, grad_sq = director_derivatives(d)
     u1, u2 = u.u1.values, u.u2.values
-    denom = 1.0 + dt * g.k2
+    inv = 1.0 / (1.0 + dt * g.k2)
     star = []
     for comp, (gx, gy) in zip(d.components, grads):
         rhs = comp.values + dt * (-(u1 * gx + u2 * gy) + grad_sq * comp.values)
-        star.append(np.fft.ifft2(np.fft.fft2(rhs) / denom).real)
-    return _renormalized(g, star, floor)
+        star.append(apply_multiplier(g, rhs, inv))
+    return _renormalized(g, star)
 
 
 def ericksen_stress(d: DirectorField2D) -> VectorField2D:

@@ -50,17 +50,10 @@ class Grid2D:
     def shape(self) -> tuple[int, int]:
         return (self.ny, self.nx)
 
-    @cached_property
-    def x(self) -> np.ndarray:
-        return np.arange(self.nx) * self.dx
-
-    @cached_property
-    def y(self) -> np.ndarray:
-        return np.arange(self.ny) * self.dy
-
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
         """Coordinate arrays X, Y of shape (ny, nx)."""
-        return np.meshgrid(self.x, self.y)
+        return np.meshgrid(np.arange(self.nx) * self.dx,
+                           np.arange(self.ny) * self.dy)
 
     # kx/ky feed first derivatives (Nyquist zeroed); k2 is the full |k|^2
     # used by the Laplacian and implicit Helmholtz solves.
@@ -199,17 +192,17 @@ def derivative_arrays(grid: Grid2D, a: np.ndarray,
     return out
 
 
-def grad_arrays(grid: Grid2D, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return tuple(derivative_arrays(grid, a))
+def component_derivatives(grid: Grid2D, comps, order: int = 1):
+    """derivative_arrays of each component, and the pointwise sum of
+    |grad c|^2 over the components."""
+    out = [derivative_arrays(grid, c, order) for c in comps]
+    return out, sum(x[0] * x[0] + x[1] * x[1] for x in out)
 
 
-def laplacian_array(grid: Grid2D, a: np.ndarray) -> np.ndarray:
-    return np.fft.ifft2(-grid.k2 * np.fft.fft2(a)).real
-
-
-def divergence_arrays(grid: Grid2D, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
-    dh = 1j * grid.kx * np.fft.fft2(a1) + 1j * grid.ky * np.fft.fft2(a2)
-    return np.fft.ifft2(dh).real
+def apply_multiplier(grid: Grid2D, a: np.ndarray, m) -> np.ndarray:
+    """Inverse transform of the Fourier multiplier m times the transform of
+    a; m is laid out like grid.k2."""
+    return np.fft.ifft2(m * np.fft.fft2(a)).real
 
 
 def lp_norm_array(grid: Grid2D, values: np.ndarray, p: float) -> float:
@@ -254,23 +247,24 @@ def vector_lp_norm(v: VectorField2D, p: float) -> float:
 
 
 def gradient(f: ScalarField2D) -> VectorField2D:
-    gx, gy = grad_arrays(f.grid, f.values)
+    gx, gy = derivative_arrays(f.grid, f.values)
     return VectorField2D.from_arrays(f.grid, gx, gy)
 
 
 def laplacian(f: ScalarField2D) -> ScalarField2D:
-    return ScalarField2D(f.grid, laplacian_array(f.grid, f.values))
+    return ScalarField2D(f.grid, apply_multiplier(f.grid, f.values, -f.grid.k2))
 
 
 def divergence(v: VectorField2D) -> ScalarField2D:
-    return ScalarField2D(v.grid, divergence_arrays(v.grid, v.u1.values,
-                                                   v.u2.values))
+    g = v.grid
+    return ScalarField2D(g, apply_multiplier(g, v.u1.values, 1j * g.kx)
+                         + apply_multiplier(g, v.u2.values, 1j * g.ky))
 
 
 def velocity_from_stream(psi: ScalarField2D) -> VectorField2D:
     """Solenoidal field (-d(psi)/dy, d(psi)/dx); exactly divergence-free
     and mean-free as measured by the spectral operators."""
-    gx, gy = grad_arrays(psi.grid, psi.values)
+    gx, gy = derivative_arrays(psi.grid, psi.values)
     return VectorField2D.from_arrays(psi.grid, -gy, gx)
 
 
@@ -280,8 +274,11 @@ def leray_project(v: VectorField2D) -> tuple[VectorField2D, ScalarField2D]:
     return VectorField2D.from_arrays(v.grid, w1, w2), ScalarField2D(v.grid, phi)
 
 
-def spectral_tail_fraction(f: ScalarField2D, cut: float = 0.5) -> float:
-    """Fraction of non-mean spectral energy above `cut` times the Nyquist
+TAIL_CUT = 0.5
+
+
+def spectral_tail_fraction(f: ScalarField2D) -> float:
+    """Fraction of non-mean spectral energy above TAIL_CUT times the Nyquist
     wavenumber in either direction; a resolution-loss indicator."""
     g = f.grid
     fh = np.fft.fft2(f.values)
@@ -289,7 +286,7 @@ def spectral_tail_fraction(f: ScalarField2D, cut: float = 0.5) -> float:
     power[0, 0] = 0.0
     ix = np.abs(np.fft.fftfreq(g.nx) * 2.0)[None, :]  # |kx|/k_nyq in [0, 1]
     iy = np.abs(np.fft.fftfreq(g.ny) * 2.0)[:, None]
-    tail = (ix > cut) | (iy > cut)
+    tail = (ix > TAIL_CUT) | (iy > TAIL_CUT)
     total = power.sum()
     if total == 0.0:
         return 0.0

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (Grid2D, ScalarField2D, VectorField2D, grad_arrays,
-                     integral, lp_norm)
+from .diagnostics import velocity_grad_l2_sq
+from .fields import (Grid2D, ScalarField2D, VectorField2D,
+                     component_derivatives, integral, lp_norm, lp_norm_array)
 
 # families must fall by >= 8 e-foldings before the edge; a Gaussian does so
 # when sigma <= min(lx, ly)/8
@@ -35,8 +36,8 @@ class InequalityReport:
 
 
 def grad_l2(f: ScalarField2D) -> float:
-    gx, gy = grad_arrays(f.grid, f.values)
-    return math.sqrt(integral(f.grid, gx * gx + gy * gy))
+    return math.sqrt(integral(f.grid,
+                              component_derivatives(f.grid, [f.values])[1]))
 
 
 def check_ladyzhenskaya(f: ScalarField2D, tol: float = 1e-9,
@@ -76,11 +77,7 @@ def check_poincare_density(rho: ScalarField2D, rho_bar: float,
     vsq = v.u1.values**2 + v.u2.values**2
     lhs = math.sqrt(integral(g, vsq))
     weighted = math.sqrt(integral(g, rho.values * vsq))
-    gsq = 0.0
-    for c in (v.u1, v.u2):
-        gx, gy = grad_arrays(g, c.values)
-        gsq += integral(g, gx * gx + gy * gy)
-    rhs = weighted + math.sqrt(gsq)
+    rhs = weighted + math.sqrt(velocity_grad_l2_sq(v))
     ratio = None if rhs == 0.0 else lhs / rhs
     return InequalityReport("poincare_density", lhs, rhs, ratio, holds=None,
                             family_tag=family_tag)
@@ -101,11 +98,13 @@ def check_log_sobolev(times, fields, s: float, t: float, q: float,
     tt = times[mask]
     window = [f for f, m in zip(fields, mask) if m]
 
-    sup_sq = np.array([lp_norm(f, np.inf) ** 2 for f in window])
-    h1_sq = np.array([lp_norm(f, 2.0) ** 2 + grad_l2(f) ** 2 for f in window])
-    w1q = np.array([lp_norm(f, q) +
-                    lp_norm(ScalarField2D(f.grid, _grad_mag(f)), q)
-                    for f in window])
+    rows = []
+    for f in window:
+        gsq = component_derivatives(f.grid, [f.values])[1]
+        rows.append((lp_norm(f, np.inf) ** 2,
+                     lp_norm(f, 2.0) ** 2 + integral(f.grid, gsq),
+                     lp_norm(f, q) + lp_norm_array(f.grid, np.sqrt(gsq), q)))
+    sup_sq, h1_sq, w1q = np.array(rows).T
 
     lhs = math.sqrt(np.trapezoid(sup_sq, tt))
     h1 = math.sqrt(np.trapezoid(h1_sq, tt))
@@ -113,11 +112,6 @@ def check_log_sobolev(times, fields, s: float, t: float, q: float,
     rhs = 1.0 + h1 * math.sqrt(max(math.log(w), 0.0) if w > 0.0 else 0.0)
     return InequalityReport(f"log_sobolev_q{q:g}", lhs, rhs, lhs / rhs,
                             holds=None, family_tag=family_tag)
-
-
-def _grad_mag(f: ScalarField2D) -> np.ndarray:
-    gx, gy = grad_arrays(f.grid, f.values)
-    return np.hypot(gx, gy)
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,6 @@ def read_snapshot(path: str | Path) -> SimState:
     planes = [body[i * n:(i + 1) * n].reshape(ny, nx) for i in range(6)]
     return SimState(rho=ScalarField2D(grid, planes[0]),
                     u=VectorField2D.from_arrays(grid, planes[1], planes[2]),
-                    p=ScalarField2D.zeros(grid),
                     d=DirectorField2D.from_arrays(grid, planes[3], planes[4],
                                                   planes[5]),
                     t=t, step=0)

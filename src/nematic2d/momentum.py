@@ -1,22 +1,22 @@
-"""Velocity/pressure update for variable, possibly vanishing density.
+"""Velocity update for variable, possibly vanishing density.
 
 One step solves the variable-coefficient viscous system
 
     rho (u* - u)/dt = (lap(u*) + lap(u))/2 - rho (u . grad u) - f
 
 by preconditioned conjugate gradients and then projects u* onto
-divergence-free fields, recovering the pressure from the projection
-potential. The operator rho/dt - lap/2 stays uniformly elliptic as rho -> 0,
-so vacuum regions need no density floor. Viscosity and director mobility are
-fixed at 1.
+divergence-free fields. The pressure is the projection potential; no
+diagnostic reads it, so it is not kept. The operator rho/dt - lap/2 stays
+uniformly elliptic as rho -> 0, so vacuum regions need no density floor.
+Viscosity and director mobility are fixed at 1.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fields import (ScalarField2D, VectorField2D, derivative_arrays,
-                     grad_arrays, integral, laplacian_array, project_arrays)
+from .fields import (ScalarField2D, VectorField2D, apply_multiplier,
+                     derivative_arrays, integral, project_arrays)
 
 
 class ConvergenceError(RuntimeError):
@@ -55,13 +55,13 @@ def _pcg(apply_a, apply_minv, b, tol, max_iter):
 
 def step_momentum(rho: ScalarField2D, u: VectorField2D, force: VectorField2D,
                   dt: float, cg_tol: float = 1e-10, cg_max_iter: int = 500,
-                  info: dict | None = None) -> tuple[VectorField2D, ScalarField2D]:
-    """Advance velocity and pressure one step of size dt.
+                  info: dict | None = None) -> VectorField2D:
+    """Advance the velocity one step of size dt.
 
     `force` is the director body force entering the momentum balance with a
-    minus sign on the right-hand side. Returns (divergence-free velocity,
-    mean-zero pressure). The preconditioner inverts the constant-coefficient
-    operator mean(rho)/dt - lap/2 spectrally.
+    minus sign on the right-hand side. Returns the divergence-free velocity.
+    The preconditioner inverts the constant-coefficient operator
+    mean(rho)/dt - lap/2 spectrally.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -83,21 +83,20 @@ def step_momentum(rho: ScalarField2D, u: VectorField2D, force: VectorField2D,
         rows.append(a * c - rv * (u1 * cx + u2 * cy) - f + 0.5 * lap)
     b = np.stack(rows)
 
-    def apply_a(w):
-        return np.stack([a * w[0] - 0.5 * laplacian_array(g, w[0]),
-                         a * w[1] - 0.5 * laplacian_array(g, w[1])])
+    half_k2 = 0.5 * g.k2
+    minv = 1.0 / (rho_bar / dt + half_k2)
 
-    minv_hat = 1.0 / (rho_bar / dt + 0.5 * g.k2)
+    def apply_a(w):
+        return np.stack([a * c + apply_multiplier(g, c, half_k2) for c in w])
 
     def apply_minv(r):
-        return np.stack([np.fft.ifft2(minv_hat * np.fft.fft2(r[0])).real,
-                         np.fft.ifft2(minv_hat * np.fft.fft2(r[1])).real])
+        return np.stack([apply_multiplier(g, c, minv) for c in r])
 
     star, iters = _pcg(apply_a, apply_minv, b, cg_tol, cg_max_iter)
     if info is not None:
         info["cg_iterations"] = iters
-    w1, w2, phi = project_arrays(g, star[0], star[1])
-    return VectorField2D.from_arrays(g, w1, w2), ScalarField2D(g, phi / dt)
+    w1, w2, _ = project_arrays(g, star[0], star[1])
+    return VectorField2D.from_arrays(g, w1, w2)
 
 
 def kinetic_energy(rho: ScalarField2D, u: VectorField2D) -> float:
@@ -111,7 +110,8 @@ def material_derivative(u_new: VectorField2D, u_old: VectorField2D,
                         dt: float) -> VectorField2D:
     """Acceleration along particle paths: (u_new - u_old)/dt
     + u_new . grad(u_new)."""
-    grads = [grad_arrays(u_new.grid, c.values) for c in (u_new.u1, u_new.u2)]
+    grads = [derivative_arrays(u_new.grid, c.values)
+             for c in (u_new.u1, u_new.u2)]
     return VectorField2D.from_arrays(
         u_new.grid, *acceleration_arrays(u_new, u_old, dt, grads))
 

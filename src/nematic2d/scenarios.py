@@ -217,5 +217,4 @@ def make_scenario(name: str, params: dict | None, grid: Grid2D,
 
     if unit_drift(d) > 1e-12:
         raise ValueError("scenario produced a non-unit director")
-    return SimState(rho=rho, u=u, p=ScalarField2D.zeros(grid), d=d,
-                    t=0.0, step=0)
+    return SimState(rho=rho, u=u, d=d, t=0.0, step=0)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +21,8 @@ from . import diagnostics as diag
 from .config import SimConfig
 from .director import (DegenerateDirectorError, ericksen_stress, step_director,
                        unit_drift)
-from .fields import (NonFiniteError, grad_arrays, integral,
-                     spectral_tail_fraction)
+from .fields import (NonFiniteError, component_derivatives, derivative_arrays,
+                     integral, spectral_tail_fraction)
 from .io import export_heatmap, read_csv, write_csv, write_snapshot
 from .momentum import (ConvergenceError, acceleration_arrays, kinetic_energy,
                        step_momentum)
@@ -52,7 +52,6 @@ class RunMonitors:
 
     e0: float
     rho0_q2: float
-    rho_bar: float
     d3_min0: float
     smallness_value: float
     smallness_ok: bool
@@ -69,16 +68,17 @@ class RunMonitors:
     unit_drift_max: float = 0.0
     identity_excess_max: float = 0.0
     max_cg_iterations: int = 0
-    samples: int = 0
 
     @classmethod
     def fresh(cls, cfg: SimConfig, state: SimState) -> "RunMonitors":
-        e0 = kinetic_energy(state.rho, state.u) + diag.director_grad_l2_sq(state.d)
-        value, ok = diag.smallness_condition(state.rho, state.u, state.d)
-        rho0_q2 = diag.density_deviation(state.rho, cfg.rho_bar)
-        return cls(e0=e0, rho0_q2=rho0_q2, rho_bar=cfg.rho_bar,
+        ke = kinetic_energy(state.rho, state.u)
+        gd = diag.director_grad_l2_sq(state.d)
+        value, ok = diag.smallness_value(ke, gd)
+        return cls(e0=ke + gd,
+                   rho0_q2=diag.density_deviation(state.rho, cfg.rho_bar),
                    d3_min0=diag.d3_min(state.d), smallness_value=value,
-                   smallness_ok=ok, serrin=diag.SerrinMonitor(cfg.serrin_exponents()))
+                   smallness_ok=ok,
+                   serrin=diag.SerrinMonitor(cfg.serrin_exponents()))
 
 
 @dataclass
@@ -102,29 +102,26 @@ def step_once(state: SimState, cfg: SimConfig, dt: float,
     rho1 = advect_density(state.rho, state.u, dt, cfl_limit=cfg.cfl)
     d1 = step_director(state.d, state.u, dt)
     force = ericksen_stress(d1)
-    u1, p1 = step_momentum(rho1, state.u, force, dt, cg_tol=cfg.cg_tol,
-                           cg_max_iter=cfg.cg_max_iter, info=info)
-    return SimState(rho=rho1, u=u1, p=p1, d=d1, t=state.t + dt,
-                    step=state.step + 1)
+    u1 = step_momentum(rho1, state.u, force, dt, cg_tol=cfg.cg_tol,
+                       cg_max_iter=cfg.cg_max_iter, info=info)
+    return SimState(rho=rho1, u=u1, d=d1, t=state.t + dt, step=state.step + 1)
 
 
 def _sample(state: SimState, cfg: SimConfig, mon: RunMonitors, dt: float
             ) -> diag.DiagnosticsRecord:
+    """The record of this state. The monitors take it in only once the
+    record has validated, so a rejected sample leaves them as they were."""
     rho, u, d = state.rho, state.u, state.d
     g = state.grid
     ke = kinetic_energy(rho, u)
     n = diag.director_norms(d)
     gd2, hess = n.grad_l2_sq, n.hess_l2_sq
-    gu = [grad_arrays(g, c.values) for c in (u.u1, u.u2)]
-    grad_u = sum(integral(g, gx * gx + gy * gy) for gx, gy in gu)
+    gu, gu_sq = component_derivatives(g, [u.u1.values, u.u2.values])
+    grad_u = integral(g, gu_sq)
     energy = ke + gd2
-    dissipation = grad_u + n.tension_l2_sq
-    residual = n.identity_residual
-    drift_q2 = (abs(diag.density_deviation(rho, mon.rho_bar) - mon.rho0_q2)
+    drift_q2 = (abs(diag.density_deviation(rho, cfg.rho_bar) - mon.rho0_q2)
                 / max(mon.rho0_q2, 1e-12))
-    d3m = diag.d3_min(d)
     udrift = unit_drift(d)
-    divu = math.sqrt(integral(g, (gu[0][0] + gu[1][1]) ** 2))
 
     # higher-order monitor; time derivatives are backward differences
     # against the previous cadence sample
@@ -135,19 +132,29 @@ def _sample(state: SimState, cfg: SimConfig, mon: RunMonitors, dt: float
         rho_udot = integral(g, rho.values * (a1**2 + a2**2))
         for c1, c0 in zip(d.components, mon.prev_d.components):
             dtc = (c1.values - c0.values) / span
-            gx, gy = grad_arrays(g, dtc)
+            gx, gy = derivative_arrays(g, dtc)
             dt_h1 += integral(g, dtc * dtc + gx * gx + gy * gy)
-    phi_value = mon.phi.update(diag.PhiSample(
-        t=state.t, grad_u_l2_sq=grad_u, grad_d_h1_sq=gd2 + hess,
-        rho_udot_l2_sq=rho_udot, dt_d_h1_sq=dt_h1,
-        hess_d_h1_sq=hess + n.third_l2_sq))
+    phi = replace(mon.phi)
+    rec = diag.DiagnosticsRecord(
+        t=state.t, energy_total=energy, dissipation=grad_u + n.tension_l2_sq,
+        grad_d_l2_sq=gd2, hess_d_l2_sq=hess, grad_d_l4_4=n.grad_l4_4,
+        rho_min=float(rho.values.min()), rho_max=float(rho.values.max()),
+        rho_drift_q2=drift_q2, d3_min=diag.d3_min(d), unit_drift=udrift,
+        serrin_accumulated=mon.serrin.accumulated,
+        phi_value=phi.update(diag.PhiSample(
+            t=state.t, grad_u_l2_sq=grad_u, grad_d_h1_sq=gd2 + hess,
+            rho_udot_l2_sq=rho_udot, dt_d_h1_sq=dt_h1,
+            hess_d_h1_sq=hess + n.third_l2_sq)),
+        ke=ke, divu_res=math.sqrt(integral(g, (gu[0][0] + gu[1][1]) ** 2)),
+        tension_identity_residual=n.identity_residual)
 
+    mon.phi = phi
     mon.bound.update(state.t, gd2, hess)
-    mon.d3_run_min = min(mon.d3_run_min, d3m)
+    mon.d3_run_min = min(mon.d3_run_min, rec.d3_min)
     mon.unit_drift_max = max(mon.unit_drift_max, udrift)
     mon.identity_excess_max = max(
-        mon.identity_excess_max,
-        residual - (IDENTITY_RESIDUAL_DRIFT * udrift + IDENTITY_RESIDUAL_ABS))
+        mon.identity_excess_max, rec.tension_identity_residual
+        - (IDENTITY_RESIDUAL_DRIFT * udrift + IDENTITY_RESIDUAL_ABS))
     if mon.prev_energy is not None:
         steps = max(state.step - mon.prev_energy_step, 1)
         slack = energy_slack(mon.e0, dt, steps)
@@ -156,16 +163,7 @@ def _sample(state: SimState, cfg: SimConfig, mon: RunMonitors, dt: float
     mon.prev_energy = energy
     mon.prev_energy_step = state.step
     mon.prev_t, mon.prev_u, mon.prev_d = state.t, u, d
-    mon.samples += 1
-
-    return diag.DiagnosticsRecord(
-        t=state.t, energy_total=energy, dissipation=dissipation,
-        grad_d_l2_sq=gd2, hess_d_l2_sq=hess, grad_d_l4_4=n.grad_l4_4,
-        rho_min=float(rho.values.min()), rho_max=float(rho.values.max()),
-        rho_drift_q2=drift_q2, d3_min=d3m, unit_drift=udrift,
-        serrin_increment=mon.serrin.last_increment,
-        serrin_accumulated=mon.serrin.accumulated, phi_value=phi_value,
-        ke=ke, divu_res=divu, tension_identity_residual=residual)
+    return rec
 
 
 def _summary(cfg: SimConfig, state: SimState, mon: RunMonitors,
@@ -196,13 +194,14 @@ def _summary(cfg: SimConfig, state: SimState, mon: RunMonitors,
 
 def simulate(cfg: SimConfig, state: SimState | None = None,
              monitors: RunMonitors | None = None, out_dir: str | None = None,
-             write_files: bool = True, snapshot_times=()) -> RunResult:
+             write_files: bool = True) -> RunResult:
     """Run from t = state.t (or the scenario's initial data) to cfg.t_end.
 
     Fixed dt when cfg.dt is set; otherwise the step adapts to the CFL target
     with cfl * min(dx, dy) as the quiescent-flow reference. Passing the state
     and monitors of an earlier segment resumes that run: accumulators carry
-    over and the initial record is not re-emitted.
+    over and the initial record is not re-emitted. summary.json is strict
+    JSON: non-finite values are written as null.
     """
     if state is None:
         state = initial_state(cfg)
@@ -210,12 +209,10 @@ def simulate(cfg: SimConfig, state: SimState | None = None,
     if monitors is None:
         monitors = RunMonitors.fresh(cfg, state)
     records: list[diag.DiagnosticsRecord] = []
-    snapshot_paths: list[str] = []
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     if write_files:
         out.mkdir(parents=True, exist_ok=True)
 
-    pending_snaps = sorted(float(s) for s in snapshot_times)
     t0, step0 = state.t, state.step
     dt_ref = cfg.cfl * min(cfg.grid().dx, cfg.grid().dy)
 
@@ -241,27 +238,23 @@ def simulate(cfg: SimConfig, state: SimState | None = None,
             monitors.serrin.update(state.d, dt)
             if state.step % cfg.cadence == 0 or state.t >= cfg.t_end - eps:
                 records.append(_sample(state, cfg, monitors, dt))
-            while pending_snaps and state.t >= pending_snaps[0] - eps:
-                pending_snaps.pop(0)
-                if write_files:
-                    p = out / f"snapshot_t{state.t:.6f}.nlc2"
-                    write_snapshot(p, state)
-                    snapshot_paths.append(str(p))
     except (CFLError, DegenerateDirectorError, ConvergenceError,
             NonFiniteError) as exc:
         failure = {"step": state.step, "cause": type(exc).__name__,
                    "message": str(exc)}
 
     summary = _summary(cfg, state, monitors, failure)
-    csv_path = None
+    csv_path, snapshot_paths = None, []
     if write_files:
         csv_path = str(out / "diagnostics.csv")
         write_csv(records, csv_path)
-        snap = out / "final.nlc2"
-        write_snapshot(snap, state)
-        snapshot_paths.append(str(snap))
-        (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n",
-                                          encoding="utf-8")
+        snapshot_paths = [str(out / "final.nlc2")]
+        write_snapshot(snapshot_paths[0], state)
+        strict = {k: None if isinstance(v, float) and not math.isfinite(v)
+                  else v for k, v in summary.items()}
+        (out / "summary.json").write_text(
+            json.dumps(strict, indent=2, allow_nan=False) + "\n",
+            encoding="utf-8")
         export_heatmap(state.rho, out / "rho_final.pgm")
     return RunResult(records=records, state=state, monitors=monitors,
                      summary=summary, csv_path=csv_path,

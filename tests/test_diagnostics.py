@@ -7,13 +7,10 @@ from nematic2d import (DiagnosticsRecord, DirectorBoundMonitor,
                        DirectorField2D, Grid2D, PhiMonitor, PhiSample,
                        ScalarField2D, SerrinExponents, SerrinMonitor,
                        SimConfig, VectorField2D, admissible_exponents,
-                       d3_min,
-                       director_grad_l4_4, director_hessian_l2_sq,
-                       make_scenario, phi_functional, renormalize,
-                       rigidity_report, serrin_norm, simulate,
-                       smallness_condition, step_director,
-                       tension_identity_residual, tension_l2_sq)
-from nematic2d.fields import grad_arrays, integral
+                       d3_min, director_norms, make_scenario, phi_functional,
+                       renormalize, serrin_norm, simulate,
+                       smallness_condition, step_director)
+from nematic2d.fields import derivative_arrays, integral
 
 from helpers import basic_energy, circle_director, random_unit_director
 
@@ -46,23 +43,25 @@ class TestBasicEnergy:
         d = renormalize(random_unit_director(grid, rng))
         _, diss = basic_energy(ScalarField2D.full(grid, 1.0),
                                VectorField2D.zeros(grid), d)
-        alt = director_hessian_l2_sq(d) - director_grad_l4_4(d)
+        n = director_norms(d)
+        alt = n.hess_l2_sq - n.grad_l4_4
         assert diss == pytest.approx(alt, rel=1e-7)
 
 
 class TestTensionIdentity:
     def test_constant_director(self, grid):
-        assert tension_identity_residual(
-            DirectorField2D.constant(grid, (0, 0, 1))) < 1e-15
+        assert director_norms(DirectorField2D.constant(
+            grid, (0, 0, 1))).identity_residual < 1e-15
 
     def test_circle_valued_matches_angle_laplacian(self, grid):
         # for equator-valued maps both sides equal int |lap phi|^2
         a = 0.8
         X, _ = grid.meshgrid()
         d = circle_director(grid, a * np.sin(2 * np.pi * X))
-        assert tension_identity_residual(d) < 1e-9
+        n = director_norms(d)
+        assert n.identity_residual < 1e-9
         closed = a**2 * (2 * math.pi) ** 4 / 2
-        assert tension_l2_sq(d) == pytest.approx(closed, rel=1e-12)
+        assert n.tension_l2_sq == pytest.approx(closed, rel=1e-12)
 
     def test_residual_scales_linearly_in_unit_drift(self, grid):
         rng = np.random.default_rng(8)
@@ -71,7 +70,7 @@ class TestTensionIdentity:
         for eps in (1e-3, 1e-4):
             stretched = DirectorField2D.from_arrays(
                 grid, *(c.values * (1.0 + eps) for c in d0.components))
-            res[eps] = tension_identity_residual(stretched)
+            res[eps] = director_norms(stretched).identity_residual
         assert res[1e-3] / res[1e-4] == pytest.approx(10.0, rel=0.2)
 
 
@@ -174,23 +173,23 @@ class TestSerrin:
 
 class TestRigidity:
     def test_constant_director_degenerate(self, grid):
-        rep = rigidity_report(DirectorField2D.constant(grid, (0, 0, 1)))
+        rep = director_norms(DirectorField2D.constant(grid, (0, 0, 1)))
         assert rep.gap_ratio is None
-        assert rep.lhs < 1e-20
+        assert rep.grad_l4_4 < 1e-20
 
     def test_polar_cap_has_positive_gap(self, grid):
         st = make_scenario("angle-condition", {"epsilon": 0.5}, grid)
         assert d3_min(st.d) >= 0.5
-        rep = rigidity_report(st.d)
-        assert rep.rhs > 0.0
+        rep = director_norms(st.d)
+        assert rep.hess_l2_sq > 0.0
         assert rep.gap_ratio is not None and rep.gap_ratio > 0.0
         assert rep.prop_bound_ratio is not None and rep.prop_bound_ratio > 0.0
 
     def test_equator_touching_field_still_reports(self, grid):
         st = make_scenario("supercritical", {"w_max": 2.0}, grid)
         assert d3_min(st.d) < 0.0
-        rep = rigidity_report(st.d)
-        assert np.isfinite(rep.lhs) and np.isfinite(rep.rhs)
+        rep = director_norms(st.d)
+        assert np.isfinite(rep.grad_l4_4) and np.isfinite(rep.hess_l2_sq)
 
 
 class TestD3Floor:
@@ -260,18 +259,18 @@ class TestHessianNorm:
         d = renormalize(random_unit_director(grid, rng))
         total = 0.0
         for c in d.components:
-            gx, gy = grad_arrays(grid, c.values)
-            gxx, gxy = grad_arrays(grid, gx)
-            gyx, gyy = grad_arrays(grid, gy)
+            gx, gy = derivative_arrays(grid, c.values)
+            gxx, gxy = derivative_arrays(grid, gx)
+            gyx, gyy = derivative_arrays(grid, gy)
             total += integral(grid, gxx**2 + gxy**2 + gyx**2 + gyy**2)
-        assert director_hessian_l2_sq(d) == pytest.approx(total, rel=1e-8)
+        assert director_norms(d).hess_l2_sq == pytest.approx(total, rel=1e-8)
 
 
 class TestRecordValidation:
     def _kwargs(self):
         names = ("t", "energy_total", "dissipation", "grad_d_l2_sq",
                  "hess_d_l2_sq", "grad_d_l4_4", "rho_min", "rho_max",
-                 "rho_drift_q2", "d3_min", "unit_drift", "serrin_increment",
+                 "rho_drift_q2", "d3_min", "unit_drift",
                  "serrin_accumulated", "phi_value", "ke", "divu_res")
         return {n: 0.0 for n in names}
 

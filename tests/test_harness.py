@@ -1,5 +1,6 @@
 import ast
 import importlib
+import json
 import math
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from nematic2d import (Grid2D, ScalarField2D, SimConfig, export_heatmap,
                        replay_csv, simulate, write_snapshot)
 from nematic2d.cli import main as cli_main
 from nematic2d.io import CSV_COLUMNS
+from nematic2d.simulation import energy_slack
 
 
 class TestConfigFile:
@@ -31,12 +33,10 @@ e3 = 1
 serrin_r = 4
 serrin_s = 4
 cadence = 2
-tol_unit = 1e-6
 cg_tol = 1e-10
 cg_max_iter = 400
 scenario = vacuum-bubble
 scenario.vortex_amp = 0.25
-seed = 7
 out_dir = runs/demo
 """
         path = tmp_path / "run.cfg"
@@ -172,7 +172,7 @@ class TestDeterminismAndRestart:
     def test_identical_configs_give_identical_bytes(self, tmp_path):
         runs = []
         for sub in ("a", "b"):
-            cfg = SimConfig(nx=32, ny=32, dt=1e-3, t_end=0.02, seed=3,
+            cfg = SimConfig(nx=32, ny=32, dt=1e-3, t_end=0.02,
                             scenario="vacuum-bubble",
                             out_dir=str(tmp_path / sub))
             runs.append(simulate(cfg))
@@ -256,6 +256,35 @@ class TestFailureOutcomes:
         assert len(res.records) == failure["step"]
         assert (tmp_path / "o" / "summary.json").exists()
 
+    def test_summary_is_strict_json(self, tmp_path):
+        # the smallness value overflows to inf, which strict JSON has no
+        # token for
+        cfg = SimConfig(nx=16, ny=16, dt=1e-3, t_end=2e-3,
+                        scenario="small-director",
+                        scenario_params={"ke_target": 1000.0},
+                        out_dir=str(tmp_path / "o"))
+        res = simulate(cfg)
+        assert res.summary["smallness_value"] == math.inf
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        text = (tmp_path / "o" / "summary.json").read_text()
+        assert json.loads(text, parse_constant=reject)["smallness_value"] is None
+
+    def test_rejected_sample_leaves_the_monitors_alone(self):
+        cfg = SimConfig(nx=16, ny=16, dt=1e-3, t_end=5e-3, cfl=1e300,
+                        scenario="vacuum-bubble",
+                        scenario_params={"vortex_amp": 1e6})
+        with np.errstate(all="ignore"):
+            res = simulate(cfg, write_files=False)
+        assert res.summary["failure"]["cause"] == "NonFiniteError"
+        e = [r.energy_total for r in res.records]
+        slack = energy_slack(res.monitors.e0, cfg.dt)
+        kept = max([0.0] + [b - a - slack for a, b in zip(e, e[1:])])
+        assert res.summary["max_energy_excess"] == pytest.approx(kept,
+                                                                 rel=1e-12)
+
     def test_adaptive_mode_survives_fast_flow(self):
         cfg = SimConfig(nx=32, ny=32, dt=None, t_end=0.01,
                         scenario="taylor-green",
@@ -318,3 +347,21 @@ class TestDemos:
                     for alias in node.names:
                         assert hasattr(module, alias.name), (path.name,
                                                              alias.name)
+
+
+class TestSpectralLayout:
+    def test_only_fields_owns_the_transforms(self):
+        # the Fourier layout lives in fields.py; inequalities.py only
+        # synthesizes random data with np.fft
+        src = Path(__file__).parents[1] / "src" / "nematic2d"
+        users = set()
+        for path in src.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if ((isinstance(node, ast.Attribute) and node.attr == "fft"
+                     and isinstance(node.value, ast.Name)
+                     and node.value.id in ("np", "numpy"))
+                        or (isinstance(node, ast.ImportFrom) and node.module
+                            and node.module.startswith("numpy"))):
+                    users.add(path.name)
+        assert "fields.py" in users
+        assert users <= {"fields.py", "inequalities.py"}, sorted(users)
