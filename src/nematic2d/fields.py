@@ -5,6 +5,12 @@ Arrays are row-major with shape (ny, nx): axis 0 runs along y, axis 1 along x.
 Derivatives are pseudo-spectral and exact for resolved Fourier modes; the
 Nyquist column/row is dropped from first derivatives so that derivatives of
 real fields stay real (grids must be even for this mode pairing).
+
+Every field is real, so transforms keep the half spectrum of rfft2: shape
+(ny, nx//2 + 1), with kx = 0 .. nx/2 along axis 1 (rfftfreq) and the full
+fftfreq order of ky along axis 0. The modes kx = -1 .. -(nx/2 - 1) are the
+complex conjugates of stored ones and are not kept. This module alone knows
+the layout; other modules build multipliers from Grid2D.k2.
 """
 
 from __future__ import annotations
@@ -56,10 +62,11 @@ class Grid2D:
                            np.arange(self.ny) * self.dy)
 
     # kx/ky feed first derivatives (Nyquist zeroed); k2 is the full |k|^2
-    # used by the Laplacian and implicit Helmholtz solves.
+    # used by the Laplacian and implicit Helmholtz solves. kx, and so k2,
+    # has the nx//2 + 1 columns of the rfft2 half spectrum.
     @cached_property
     def kx(self) -> np.ndarray:
-        k = 2.0 * np.pi * np.fft.fftfreq(self.nx, d=self.dx)
+        k = 2.0 * np.pi * np.fft.rfftfreq(self.nx, d=self.dx)
         k[self.nx // 2] = 0.0
         return k[None, :]
 
@@ -71,7 +78,7 @@ class Grid2D:
 
     @cached_property
     def k2(self) -> np.ndarray:
-        kx = 2.0 * np.pi * np.fft.fftfreq(self.nx, d=self.dx)
+        kx = 2.0 * np.pi * np.fft.rfftfreq(self.nx, d=self.dx)
         ky = 2.0 * np.pi * np.fft.fftfreq(self.ny, d=self.dy)
         return (kx**2)[None, :] + (ky**2)[:, None]
 
@@ -180,15 +187,16 @@ def derivative_arrays(grid: Grid2D, a: np.ndarray,
                       order: int = 1) -> list[np.ndarray]:
     """[dx a, dy a] at order 1, then lap a at order 2 and [dx lap a,
     dy lap a] at order 3, all from one forward transform of a."""
-    h = np.fft.fft2(a)
-    out = [np.fft.ifft2(1j * grid.kx * h).real,
-           np.fft.ifft2(1j * grid.ky * h).real]
+    s = grid.shape
+    h = np.fft.rfft2(a)
+    out = [np.fft.irfft2(1j * grid.kx * h, s=s),
+           np.fft.irfft2(1j * grid.ky * h, s=s)]
     if order >= 2:
         h = -grid.k2 * h
-        out.append(np.fft.ifft2(h).real)
+        out.append(np.fft.irfft2(h, s=s))
     if order >= 3:
-        out += [np.fft.ifft2(1j * grid.kx * h).real,
-                np.fft.ifft2(1j * grid.ky * h).real]
+        out += [np.fft.irfft2(1j * grid.kx * h, s=s),
+                np.fft.irfft2(1j * grid.ky * h, s=s)]
     return out
 
 
@@ -201,8 +209,13 @@ def component_derivatives(grid: Grid2D, comps, order: int = 1):
 
 def apply_multiplier(grid: Grid2D, a: np.ndarray, m) -> np.ndarray:
     """Inverse transform of the Fourier multiplier m times the transform of
-    a; m is laid out like grid.k2."""
-    return np.fft.ifft2(m * np.fft.fft2(a)).real
+    a; m is laid out like grid.k2, on the rfft2 half spectrum (ny, nx//2 + 1).
+
+    m must be the restriction of a multiplier with m(-k) = conj(m(k)), such
+    as a real function of |k|^2 or i times an odd one, so that the result is
+    real; the dropped half of the spectrum is implied by that symmetry.
+    """
+    return np.fft.irfft2(m * np.fft.rfft2(a), s=grid.shape)
 
 
 def lp_norm_array(grid: Grid2D, values: np.ndarray, p: float) -> float:
@@ -223,15 +236,15 @@ def project_arrays(grid: Grid2D, a1: np.ndarray, a2: np.ndarray):
     Modewise w_hat = a_hat - k (k . a_hat)/|k|^2; the zero mode of a passes
     through unchanged and phi has zero mean.
     """
-    v1h = np.fft.fft2(a1)
-    v2h = np.fft.fft2(a2)
-    kx, ky = grid.kx, grid.ky
+    v1h = np.fft.rfft2(a1)
+    v2h = np.fft.rfft2(a2)
+    kx, ky, s = grid.kx, grid.ky, grid.shape
     ksq = kx**2 + ky**2
     safe = np.where(ksq == 0.0, 1.0, ksq)
     coeff = np.where(ksq == 0.0, 0.0, (kx * v1h + ky * v2h) / safe)
-    return (np.fft.ifft2(v1h - kx * coeff).real,
-            np.fft.ifft2(v2h - ky * coeff).real,
-            np.fft.ifft2(-1j * coeff).real)
+    return (np.fft.irfft2(v1h - kx * coeff, s=s),
+            np.fft.irfft2(v2h - ky * coeff, s=s),
+            np.fft.irfft2(-1j * coeff, s=s))
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +294,12 @@ def spectral_tail_fraction(f: ScalarField2D) -> float:
     """Fraction of non-mean spectral energy above TAIL_CUT times the Nyquist
     wavenumber in either direction; a resolution-loss indicator."""
     g = f.grid
-    fh = np.fft.fft2(f.values)
+    fh = np.fft.rfft2(f.values)
     power = np.abs(fh) ** 2
     power[0, 0] = 0.0
-    ix = np.abs(np.fft.fftfreq(g.nx) * 2.0)[None, :]  # |kx|/k_nyq in [0, 1]
+    # columns 1 .. nx/2 - 1 stand for themselves and their conjugate modes
+    power[:, 1:g.nx // 2] *= 2.0
+    ix = (np.fft.rfftfreq(g.nx) * 2.0)[None, :]  # |kx|/k_nyq in [0, 1]
     iy = np.abs(np.fft.fftfreq(g.ny) * 2.0)[:, None]
     tail = (ix > TAIL_CUT) | (iy > TAIL_CUT)
     total = power.sum()

@@ -228,6 +228,10 @@ def simulate(cfg: SimConfig, state: SimState | None = None,
                 nu = cfl_number(state.u, 1.0)
                 dt = cfg.cfl / nu if nu > 0.0 else dt_ref
                 dt = min(dt, dt_ref, cfg.t_end - state.t)
+                # advect_density checks fl(dt * nu) <= cfl, which rounding
+                # can break at the cap dt = cfl / nu
+                while dt * nu > cfg.cfl:
+                    dt = math.nextafter(dt, 0.0)
             info: dict = {}
             state = step_once(state, cfg, dt, info)
             if cfg.dt is not None:

@@ -38,33 +38,40 @@ def sample_bicubic(grid: Grid2D, values: np.ndarray, ix: np.ndarray,
                    iy: np.ndarray, limit: bool = False) -> np.ndarray:
     """Periodic bicubic interpolation at fractional index coordinates.
 
-    With limit=True the result is clamped to the min/max of the four
-    surrounding nodes (monotone variant, no new extrema).
+    values has shape (..., ny, nx); every leading slice is read at the same
+    points, which share one stencil of indices and weights, and the result
+    has shape values.shape[:-2] + ix.shape. With limit=True the result is
+    clamped to the min/max of the four surrounding nodes (monotone variant,
+    no new extrema).
     """
     i0 = np.floor(ix)
     j0 = np.floor(iy)
     tx = ix - i0
     ty = iy - j0
-    i0 = i0.astype(np.int64)
-    j0 = j0.astype(np.int64)
-
-    cols = [(i0 + s) % grid.nx for s in (-1, 0, 1, 2)]
-    rows = [(j0 + s) % grid.ny for s in (-1, 0, 1, 2)]
     wx = _cubic_weights(tx)
     wy = _cubic_weights(ty)
 
-    out = np.zeros(ix.shape)
+    # one periodic copy padded by the stencil's reach (1 before, 2 after),
+    # so that node (j0 - 1 + a, i0 - 1 + b) sits at flat index base + a*w + b
+    w = grid.nx + 3
+    pad = [(0, 0)] * (values.ndim - 2) + [(1, 2), (1, 2)]
+    flat = np.pad(values, pad, mode="wrap").reshape(values.shape[:-2] + (-1,))
+    base = (j0.astype(np.int64) % grid.ny * w
+            + i0.astype(np.int64) % grid.nx)
+
+    out = 0.0
+    corners = []  # the four nodes around each point, for the limiter
     for a in range(4):
-        row_acc = np.zeros(ix.shape)
+        row_acc = 0.0
         for b in range(4):
-            row_acc += wx[b] * values[rows[a], cols[b]]
+            v = np.take(flat, base + (a * w + b), axis=-1)
+            if limit and a in (1, 2) and b in (1, 2):
+                corners.append(v)
+            row_acc += wx[b] * v
         out += wy[a] * row_acc
 
     if limit:
-        c00 = values[rows[1], cols[1]]
-        c01 = values[rows[1], cols[2]]
-        c10 = values[rows[2], cols[1]]
-        c11 = values[rows[2], cols[2]]
+        c00, c01, c10, c11 = corners
         lo = np.minimum(np.minimum(c00, c01), np.minimum(c10, c11))
         hi = np.maximum(np.maximum(c00, c01), np.maximum(c10, c11))
         out = np.clip(out, lo, hi)
@@ -84,8 +91,7 @@ def foot_points(u: VectorField2D, dt: float) -> tuple[np.ndarray, np.ndarray]:
     # sampled at the midpoint
     mx = I - 0.5 * dt * u.u1.values / g.dx
     my = J - 0.5 * dt * u.u2.values / g.dy
-    u1m = sample_bicubic(g, u.u1.values, mx, my)
-    u2m = sample_bicubic(g, u.u2.values, mx, my)
+    u1m, u2m = sample_bicubic(g, np.stack([u.u1.values, u.u2.values]), mx, my)
     return I - dt * u1m / g.dx, J - dt * u2m / g.dy
 
 

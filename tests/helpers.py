@@ -101,3 +101,56 @@ def stress_divergence(grid, m11, m12, m22):
     (d1m11, _), (d1m12, d2m12), (_, d2m22) = (
         derivative_arrays(grid, m) for m in (m11, m12, m22))
     return VectorField2D.from_arrays(grid, d1m11 + d2m12, d1m12 + d2m22)
+
+
+# Complex fft2 oracles of the spectral layer, on the full (ny, nx) spectrum;
+# the package itself works on the rfft2 half spectrum.
+
+def full_wavenumbers(grid):
+    """(kx, ky, k2) on the full fft2 layout; kx and ky have their Nyquist
+    entries zeroed, k2 keeps them."""
+    kx = 2.0 * np.pi * np.fft.fftfreq(grid.nx, d=grid.dx)
+    ky = 2.0 * np.pi * np.fft.fftfreq(grid.ny, d=grid.dy)
+    k2 = (kx**2)[None, :] + (ky**2)[:, None]
+    kx[grid.nx // 2] = 0.0
+    ky[grid.ny // 2] = 0.0
+    return kx[None, :], ky[:, None], k2
+
+
+def fft2_multiplier(a, m):
+    """Real part of the inverse fft2 of m times the fft2 of a."""
+    return np.fft.ifft2(m * np.fft.fft2(a)).real
+
+
+def fft2_derivatives(grid, a, order):
+    """[dx a, dy a], lap a and [dx lap a, dy lap a] up to the given order."""
+    kx, ky, k2 = full_wavenumbers(grid)
+    out = [fft2_multiplier(a, 1j * kx), fft2_multiplier(a, 1j * ky)]
+    if order >= 2:
+        out.append(fft2_multiplier(a, -k2))
+    if order >= 3:
+        out += [fft2_multiplier(a, -1j * kx * k2),
+                fft2_multiplier(a, -1j * ky * k2)]
+    return out
+
+
+def fft2_project(grid, a1, a2):
+    """Helmholtz split (w1, w2, phi) of a = w + grad(phi)."""
+    kx, ky, _ = full_wavenumbers(grid)
+    v1h, v2h = np.fft.fft2(a1), np.fft.fft2(a2)
+    ksq = kx**2 + ky**2
+    coeff = np.where(ksq == 0.0, 0.0, (kx * v1h + ky * v2h)
+                     / np.where(ksq == 0.0, 1.0, ksq))
+    return (np.fft.ifft2(v1h - kx * coeff).real,
+            np.fft.ifft2(v2h - ky * coeff).real,
+            np.fft.ifft2(-1j * coeff).real)
+
+
+def fft2_tail_fraction(grid, values, cut):
+    """Share of the non-mean power |fft2|^2 above cut times the Nyquist
+    wavenumber in either direction."""
+    power = np.abs(np.fft.fft2(values)) ** 2
+    power[0, 0] = 0.0
+    ix = np.abs(np.fft.fftfreq(grid.nx) * 2.0)[None, :]
+    iy = np.abs(np.fft.fftfreq(grid.ny) * 2.0)[:, None]
+    return power[(ix > cut) | (iy > cut)].sum() / power.sum()

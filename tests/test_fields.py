@@ -3,9 +3,14 @@ import pytest
 
 from nematic2d import (Grid2D, ScalarField2D, VectorField2D, divergence,
                        gradient, laplacian, leray_project, lp_norm,
-                       vector_lp_norm, velocity_from_stream)
+                       spectral_tail_fraction, vector_lp_norm,
+                       velocity_from_stream)
+from nematic2d.fields import (TAIL_CUT, apply_multiplier, derivative_arrays,
+                              project_arrays)
 
-from helpers import band_limited_field, solenoidal_field
+from helpers import (band_limited_field, fft2_derivatives, fft2_multiplier,
+                     fft2_project, fft2_tail_fraction, full_wavenumbers,
+                     solenoidal_field)
 
 
 @pytest.fixture
@@ -182,3 +187,63 @@ class TestLerayProjection:
         rng = np.random.default_rng(23)
         u = velocity_from_stream(band_limited_field(grid, rng))
         assert lp_norm(divergence(u), 2.0) < 1e-11 * vector_lp_norm(u, 2.0)
+
+
+def assert_matches(a, oracle, rel=1e-12):
+    assert np.abs(a - oracle).max() <= rel * np.abs(oracle).max()
+
+
+class TestHalfSpectrum:
+    """The rfft2 layer against a complex fft2 oracle on a non-square grid,
+    so that swapped axes or a wrong half-spectrum width show."""
+
+    @pytest.fixture
+    def grid(self):
+        return Grid2D(24, 16, 2.0, 1.0)
+
+    @pytest.fixture
+    def data(self, grid):
+        # white noise: every mode, Nyquist ones included, is populated
+        return np.random.default_rng(41).standard_normal((2,) + grid.shape)
+
+    def test_wavenumber_shapes(self, grid):
+        assert grid.kx.shape == (1, 13)
+        assert grid.ky.shape == (16, 1)
+        assert grid.k2.shape == (16, 13)
+        kx, ky, k2 = full_wavenumbers(grid)
+        assert np.array_equal(grid.kx, kx[:, :13])
+        assert np.array_equal(grid.ky, ky)
+        assert np.array_equal(grid.k2, k2[:, :13])
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_derivatives_match_oracle(self, grid, data, order):
+        got = derivative_arrays(grid, data[0], order)
+        want = fft2_derivatives(grid, data[0], order)
+        assert len(got) == len(want) == [2, 3, 5][order - 1]
+        for a, b in zip(got, want):
+            assert a.shape == grid.shape
+            assert_matches(a, b)
+
+    def test_apply_multiplier_matches_oracle(self, grid, data):
+        kx, ky, k2 = full_wavenumbers(grid)
+        for half, full in ((1.0 / (1.0 + 0.01 * grid.k2),
+                            1.0 / (1.0 + 0.01 * k2)),
+                           (-grid.k2, -k2), (1j * grid.ky, 1j * ky),
+                           (1j * grid.kx, 1j * kx)):
+            assert_matches(apply_multiplier(grid, data[0], half),
+                           fft2_multiplier(data[0], full))
+
+    def test_project_arrays_matches_oracle(self, grid, data):
+        for a, b in zip(project_arrays(grid, data[0], data[1]),
+                        fft2_project(grid, data[0], data[1])):
+            assert_matches(a, b)
+
+    @pytest.mark.parametrize("shape", [(24, 16, 2.0, 1.0), (32, 32, 1.0, 1.0)])
+    def test_spectral_tail_fraction_matches_oracle(self, shape):
+        g = Grid2D(*shape)
+        rng = np.random.default_rng(43)
+        for f in (ScalarField2D(g, rng.standard_normal(g.shape)),
+                  band_limited_field(g, rng, kmax=g.nx // 4 + 1)):
+            want = fft2_tail_fraction(g, f.values, TAIL_CUT)
+            assert 0.0 < want < 1.0
+            assert abs(spectral_tail_fraction(f) - want) <= 1e-12

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nematic2d import (Grid2D, ScalarField2D, SimConfig, export_heatmap,
+from nematic2d import (Grid2D, ScalarField2D, SimConfig, SimState,
+                       VectorField2D, cfl_number, export_heatmap,
                        make_scenario, parse_config, read_csv, read_snapshot,
                        replay_csv, simulate, write_snapshot)
 from nematic2d.cli import main as cli_main
@@ -292,6 +293,22 @@ class TestFailureOutcomes:
         res = simulate(cfg, write_files=False)
         assert res.summary["status"] == "completed"
         assert res.state.t == pytest.approx(0.01)
+
+    def test_step_at_the_cfl_cap_is_accepted(self):
+        # uniform flow u1 = 1.051 on a 16^2 unit box: nu = 16.816, and the
+        # capped step 0.9 / nu gives fl(dt * nu) = 0.9000000000000001
+        cfg = SimConfig(nx=16, ny=16, dt=None, cfl=0.9, t_end=0.15,
+                        scenario="rest")
+        g = cfg.grid()
+        rest = make_scenario("rest", None, g)
+        u = VectorField2D.from_arrays(g, np.full(g.shape, 1.051),
+                                      np.zeros(g.shape))
+        nu = cfl_number(u, 1.0)
+        assert 0.9 / nu < 0.9 * min(g.dx, g.dy)  # the cap, not dt_ref, sets dt
+        assert (0.9 / nu) * nu > 0.9
+        res = simulate(cfg, SimState(rest.rho, u, rest.d), write_files=False)
+        assert res.summary["status"] == "completed", res.summary["failure"]
+        assert res.state.step >= 2
 
 
 class TestCli:

@@ -3,6 +3,7 @@ import pytest
 
 from nematic2d import (CFLError, Grid2D, ScalarField2D, VectorField2D,
                        advect_density, cfl_number, density_deviation)
+from nematic2d.transport import sample_bicubic
 
 from helpers import solenoidal_field
 
@@ -109,6 +110,40 @@ class TestAdvectDensity:
         assert cfl_number(u, 0.01) > 0.9
         with pytest.raises(CFLError):
             advect_density(gaussian_bump(g), u, 0.01)
+
+
+
+class TestSampleBicubic:
+    @pytest.fixture
+    def case(self):
+        g = Grid2D(24, 16, 2.0, 1.0)
+        rng = np.random.default_rng(17)
+        values = rng.standard_normal((2,) + g.shape)
+        # points well outside one period exercise the wrap-around
+        ix = rng.uniform(-30.0, 50.0, g.shape)
+        iy = rng.uniform(-20.0, 35.0, g.shape)
+        return g, values, ix, iy
+
+    @pytest.mark.parametrize("limit", [False, True])
+    def test_stacked_equals_per_slice_bitwise(self, case, limit):
+        g, values, ix, iy = case
+        both = sample_bicubic(g, values, ix, iy, limit=limit)
+        assert both.shape == values.shape
+        for k in range(2):
+            one = sample_bicubic(g, values[k], ix, iy, limit=limit)
+            assert np.array_equal(both[k].view(np.int64), one.view(np.int64))
+
+    def test_limited_value_stays_within_its_four_corners(self, case):
+        g, values, ix, iy = case
+        i0 = np.floor(ix).astype(int)
+        j0 = np.floor(iy).astype(int)
+        corners = np.stack([values[:, (j0 + b) % g.ny, (i0 + a) % g.nx]
+                            for a in (0, 1) for b in (0, 1)])
+        lo, hi = corners.min(axis=0), corners.max(axis=0)
+        out = sample_bicubic(g, values, ix, iy, limit=True)
+        assert np.all((lo <= out) & (out <= hi))
+        free = sample_bicubic(g, values, ix, iy)
+        assert np.any((free < lo) | (free > hi))  # the limiter did act
 
 
 def drift(rho, rho0, q=2.0):
