@@ -20,6 +20,12 @@ FAMILIES = ("gaussian", "band-limited", "bumps")
 _FIELDS = ("rho", "u1", "u2", "d1", "d2", "d3")
 
 
+def _fmt(value) -> str:
+    """A summary number to 6 significant digits; an absent one (None, e.g.
+    the run minimum of d3 when no sample was accepted) as is."""
+    return str(value) if value is None else format(value, ".6g")
+
+
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config)
     result = simulate(cfg)
@@ -29,14 +35,18 @@ def _cmd_run(args) -> int:
         f = s["failure"]
         print(f"  failed at step {f['step']}: {f['cause']}: {f['message']}")
     print(f"t_final: {s['t_final']:g}  steps: {s['steps']}")
-    print(f"smallness: value {s['smallness_value']:.6g} "
+    print(f"smallness: value {_fmt(s['smallness_value'])} "
           f"satisfied {s['smallness_satisfied']}")
-    print(f"director bound: value {s['director_bound_value']:.6g} "
+    print(f"director bound: value {_fmt(s['director_bound_value'])} "
           f"held {s['director_bound_held']}")
-    print(f"energy monotone: {s['energy_monotone']}")
+    print(f"energy monotone: {s['energy_monotone']}  budget residual max "
+          f"{_fmt(s['energy_budget_residual_max'])}")
     print(f"d3 floor held: {s['d3_floor_held']} "
-          f"(initial {s['d3_min_initial']:.6g}, run min {s['d3_min_run']:.6g})")
-    print(f"serrin accumulated: {s['serrin_accumulated']:.6g}")
+          f"(initial {_fmt(s['d3_min_initial'])}, "
+          f"run min {_fmt(s['d3_min_run'])})")
+    print(f"serrin accumulated: {_fmt(s['serrin_accumulated'])}")
+    print(f"cg: max iterations {s['max_cg_iterations']}, max residual "
+          f"{_fmt(s['max_cg_residual'])}")
     print(f"csv: {result.csv_path}")
     for p in result.snapshot_paths:
         print(f"snapshot: {p}")

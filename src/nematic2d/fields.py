@@ -186,7 +186,11 @@ def integral(grid: Grid2D, values: np.ndarray) -> float:
 def derivative_arrays(grid: Grid2D, a: np.ndarray,
                       order: int = 1) -> list[np.ndarray]:
     """[dx a, dy a] at order 1, then lap a at order 2 and [dx lap a,
-    dy lap a] at order 3, all from one forward transform of a."""
+    dy lap a] at order 3, all from one forward transform of a.
+
+    a has shape (..., ny, nx); leading axes stack fields that are
+    transformed together, and every output has the shape of a.
+    """
     s = grid.shape
     h = np.fft.rfft2(a)
     out = [np.fft.irfft2(1j * grid.kx * h, s=s),
@@ -210,6 +214,8 @@ def component_derivatives(grid: Grid2D, comps, order: int = 1):
 def apply_multiplier(grid: Grid2D, a: np.ndarray, m) -> np.ndarray:
     """Inverse transform of the Fourier multiplier m times the transform of
     a; m is laid out like grid.k2, on the rfft2 half spectrum (ny, nx//2 + 1).
+    a has shape (..., ny, nx): leading axes stack fields that share m and
+    are transformed in one call each way.
 
     m must be the restriction of a multiplier with m(-k) = conj(m(k)), such
     as a real function of |k|^2 or i times an odd one, so that the result is
@@ -230,21 +236,34 @@ def lp_norm_array(grid: Grid2D, values: np.ndarray, p: float) -> float:
     return float(((a**p).sum() * grid.cell_area) ** (1.0 / p))
 
 
+def _leray_spectrum(grid: Grid2D, a: np.ndarray):
+    """Transform of the divergence-free part of stacked a (2, ny, nx), and
+    the coefficient c = (k . a_hat)/|k|^2 with grad(phi)_hat = k c."""
+    h = np.fft.rfft2(a)
+    kx, ky = grid.kx, grid.ky
+    ksq = kx**2 + ky**2
+    safe = np.where(ksq == 0.0, 1.0, ksq)
+    coeff = np.where(ksq == 0.0, 0.0, (kx * h[0] + ky * h[1]) / safe)
+    h[0] -= kx * coeff
+    h[1] -= ky * coeff
+    return h, coeff
+
+
+def solenoidal_arrays(grid: Grid2D, a: np.ndarray) -> np.ndarray:
+    """Divergence-free part w of stacked a (2, ny, nx) = w + grad(phi), as
+    in project_arrays; phi is not formed."""
+    return np.fft.irfft2(_leray_spectrum(grid, a)[0], s=grid.shape)
+
+
 def project_arrays(grid: Grid2D, a1: np.ndarray, a2: np.ndarray):
     """Helmholtz split a = w + grad(phi) with div(w) = 0; returns (w1, w2, phi).
 
     Modewise w_hat = a_hat - k (k . a_hat)/|k|^2; the zero mode of a passes
     through unchanged and phi has zero mean.
     """
-    v1h = np.fft.rfft2(a1)
-    v2h = np.fft.rfft2(a2)
-    kx, ky, s = grid.kx, grid.ky, grid.shape
-    ksq = kx**2 + ky**2
-    safe = np.where(ksq == 0.0, 1.0, ksq)
-    coeff = np.where(ksq == 0.0, 0.0, (kx * v1h + ky * v2h) / safe)
-    return (np.fft.irfft2(v1h - kx * coeff, s=s),
-            np.fft.irfft2(v2h - ky * coeff, s=s),
-            np.fft.irfft2(-1j * coeff, s=s))
+    h, coeff = _leray_spectrum(grid, np.stack([a1, a2]))
+    w = np.fft.irfft2(h, s=grid.shape)
+    return w[0], w[1], np.fft.irfft2(-1j * coeff, s=grid.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -6,17 +6,30 @@ One step solves the variable-coefficient viscous system
 
 by preconditioned conjugate gradients and then projects u* onto
 divergence-free fields. The pressure is the projection potential; no
-diagnostic reads it, so it is not kept. The operator rho/dt - lap/2 stays
-uniformly elliptic as rho -> 0, so vacuum regions need no density floor.
-Viscosity and director mobility are fixed at 1.
+diagnostic reads it, so it is neither kept nor transformed back. The
+operator rho/dt - lap/2 stays uniformly elliptic as rho -> 0, so vacuum
+regions need no density floor. Viscosity and director mobility are fixed
+at 1.
+
+The operator splits as A = M + (rho - mean(rho))/dt with the
+constant-coefficient M = mean(rho)/dt - lap/2, which the preconditioner
+inverts spectrally and exactly. So M z = r holds for every preconditioned
+residual, M p is carried by the recurrence M p_k = r_k + beta M p_(k-1)
+(Eisenstat, SIAM J. Sci. Stat. Comput. 2, 1981), and A p needs no
+transform: an iteration costs one forward and one inverse transform of the
+stacked (2, ny, nx) residual. Because the recurrence can drift, the true
+residual b - A x is formed once the recursive one meets the tolerance, and
+CG restarts from it if it misses.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .fields import (ScalarField2D, VectorField2D, apply_multiplier,
-                     derivative_arrays, integral, project_arrays)
+                     derivative_arrays, integral, solenoidal_arrays)
 
 
 class ConvergenceError(RuntimeError):
@@ -28,29 +41,64 @@ class ConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
-def _pcg(apply_a, apply_minv, b, tol, max_iter):
-    """Standard preconditioned CG on stacked (2, ny, nx) arrays."""
-    bnorm = np.sqrt(np.sum(b * b))
+def _pcg(apply_m, apply_minv, shift, b, tol, max_iter):
+    """Preconditioned CG for A = M + shift on stacked (2, ny, nx) arrays.
+
+    apply_m and apply_minv apply M and its exact inverse and return new
+    arrays; shift is a pointwise multiplier. M p is carried by recurrence,
+    so apply_minv is the only operator applied per iteration; apply_m is
+    applied once per exit check of the true residual. Returns the solution,
+    the iteration count and the true relative residual ||b - A x|| / ||b||.
+    """
+    bnorm = math.sqrt(np.vdot(b, b))
     x = np.zeros_like(b)
     if bnorm == 0.0:
-        return x, 0
+        return x, 0, 0.0
     r = b.copy()
-    z = apply_minv(r)
-    p = z.copy()
-    rz = np.sum(r * z)
-    for k in range(1, max_iter + 1):
-        ap = apply_a(p)
-        alpha = rz / np.sum(p * ap)
-        x += alpha * p
-        r -= alpha * ap
-        if np.sqrt(np.sum(r * r)) <= tol * bnorm:
-            return x, k
-        z = apply_minv(r)
-        rz_new = np.sum(r * z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise ConvergenceError(f"CG missed tol {tol:g} after {max_iter} iterations",
-                           max_iter)
+    ap = np.empty_like(b)
+    tmp = np.empty_like(b)
+    k = 0
+    while True:  # one pass per (re)start from the true residual r
+        p = apply_minv(r)
+        mp = r.copy()
+        rz = np.vdot(r, p)
+        while True:
+            if k == max_iter:
+                raise ConvergenceError(
+                    f"CG missed tol {tol:g} after {max_iter} iterations",
+                    max_iter)
+            k += 1
+            np.multiply(shift, p, out=ap)
+            ap += mp
+            alpha = rz / np.vdot(p, ap)
+            x += np.multiply(p, alpha, out=tmp)
+            r -= np.multiply(ap, alpha, out=tmp)
+            if math.sqrt(np.vdot(r, r)) <= tol * bnorm:
+                break
+            z = apply_minv(r)
+            rz_new = np.vdot(r, z)
+            beta = rz_new / rz
+            rz = rz_new
+            p *= beta
+            p += z
+            mp *= beta
+            mp += r
+        np.subtract(b, apply_m(x), out=r)
+        r -= np.multiply(shift, x, out=tmp)
+        residual = math.sqrt(np.vdot(r, r)) / bnorm
+        if residual <= tol:
+            return x, k, residual
+
+
+def _right_side(rv, u, force, dt):
+    """rho u/dt - rho (u . grad u) - f + lap(u)/2 as a stacked (2, ny, nx)
+    array; the derivative arrays are freed before the solve starts."""
+    vel = np.stack([u.u1.values, u.u2.values])
+    dx, dy, lap = derivative_arrays(u.grid, vel, 2)
+    b = (rv / dt) * vel - rv * (vel[0] * dx + vel[1] * dy) + 0.5 * lap
+    b[0] -= force.u1.values
+    b[1] -= force.u2.values
+    return b
 
 
 def step_momentum(rho: ScalarField2D, u: VectorField2D, force: VectorField2D,
@@ -60,8 +108,9 @@ def step_momentum(rho: ScalarField2D, u: VectorField2D, force: VectorField2D,
 
     `force` is the director body force entering the momentum balance with a
     minus sign on the right-hand side. Returns the divergence-free velocity.
-    The preconditioner inverts the constant-coefficient operator
-    mean(rho)/dt - lap/2 spectrally.
+    If `info` is given, it receives the CG iteration count
+    (`cg_iterations`) and the true relative residual at exit
+    (`cg_residual`).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -74,29 +123,18 @@ def step_momentum(rho: ScalarField2D, u: VectorField2D, force: VectorField2D,
     if rv.max() == 0.0:
         raise ValueError("density must not vanish identically")
 
-    a = rv / dt
     rho_bar = float(rv.mean())
-    u1, u2 = u.u1.values, u.u2.values
-    rows = []
-    for c, f in ((u1, force.u1.values), (u2, force.u2.values)):
-        cx, cy, lap = derivative_arrays(g, c, 2)
-        rows.append(a * c - rv * (u1 * cx + u2 * cy) - f + 0.5 * lap)
-    b = np.stack(rows)
-
-    half_k2 = 0.5 * g.k2
-    minv = 1.0 / (rho_bar / dt + half_k2)
-
-    def apply_a(w):
-        return np.stack([a * c + apply_multiplier(g, c, half_k2) for c in w])
-
-    def apply_minv(r):
-        return np.stack([apply_multiplier(g, c, minv) for c in r])
-
-    star, iters = _pcg(apply_a, apply_minv, b, cg_tol, cg_max_iter)
+    b = _right_side(rv, u, force, dt)
+    m = rho_bar / dt + 0.5 * g.k2
+    minv = 1.0 / m
+    star, iters, residual = _pcg(lambda a: apply_multiplier(g, a, m),
+                                 lambda a: apply_multiplier(g, a, minv),
+                                 (rv - rho_bar) / dt, b, cg_tol, cg_max_iter)
     if info is not None:
         info["cg_iterations"] = iters
-    w1, w2, _ = project_arrays(g, star[0], star[1])
-    return VectorField2D.from_arrays(g, w1, w2)
+        info["cg_residual"] = residual
+    w = solenoidal_arrays(g, star)
+    return VectorField2D.from_arrays(g, w[0], w[1])
 
 
 def kinetic_energy(rho: ScalarField2D, u: VectorField2D) -> float:

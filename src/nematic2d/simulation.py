@@ -68,6 +68,12 @@ class RunMonitors:
     unit_drift_max: float = 0.0
     identity_excess_max: float = 0.0
     max_cg_iterations: int = 0
+    max_cg_residual: float = 0.0
+    # trapezoid integral of the dissipation over the sample times, for the
+    # energy law E(t) + 2 int_0^t D = E(0)
+    dissipation_integral: float = 0.0
+    prev_dissipation: float = 0.0
+    energy_budget_residual_max: float = 0.0
 
     @classmethod
     def fresh(cls, cfg: SimConfig, state: SimState) -> "RunMonitors":
@@ -162,6 +168,14 @@ def _sample(state: SimState, cfg: SimConfig, mon: RunMonitors, dt: float
                                     energy - mon.prev_energy - slack)
     mon.prev_energy = energy
     mon.prev_energy_step = state.step
+    if mon.prev_t is not None:
+        mon.dissipation_integral += (0.5 * (mon.prev_dissipation
+                                            + rec.dissipation)
+                                     * (state.t - mon.prev_t))
+    mon.prev_dissipation = rec.dissipation
+    mon.energy_budget_residual_max = max(
+        mon.energy_budget_residual_max,
+        abs(energy + 2.0 * mon.dissipation_integral - mon.e0))
     mon.prev_t, mon.prev_u, mon.prev_d = state.t, u, d
     return rec
 
@@ -181,6 +195,7 @@ def _summary(cfg: SimConfig, state: SimState, mon: RunMonitors,
         "director_bound_held": mon.bound.satisfied(BOUND_SLACK),
         "energy_monotone": mon.max_energy_excess <= 0.0,
         "max_energy_excess": mon.max_energy_excess,
+        "energy_budget_residual_max": mon.energy_budget_residual_max,
         "d3_min_initial": mon.d3_min0,
         "d3_min_run": None if mon.d3_run_min is np.inf else mon.d3_run_min,
         "d3_floor_held": bool(mon.d3_run_min >= mon.d3_min0 - D3_FLOOR_SLACK),
@@ -188,6 +203,7 @@ def _summary(cfg: SimConfig, state: SimState, mon: RunMonitors,
         "unit_drift_max": mon.unit_drift_max,
         "identity_residual_ok": mon.identity_excess_max <= 0.0,
         "max_cg_iterations": mon.max_cg_iterations,
+        "max_cg_residual": mon.max_cg_residual,
         "director_tail_fraction": tail,
     }
 
@@ -239,6 +255,8 @@ def simulate(cfg: SimConfig, state: SimState | None = None,
                 state.t = t0 + (state.step - step0) * cfg.dt
             monitors.max_cg_iterations = max(monitors.max_cg_iterations,
                                              info.get("cg_iterations", 0))
+            monitors.max_cg_residual = max(monitors.max_cg_residual,
+                                           info.get("cg_residual", 0.0))
             monitors.serrin.update(state.d, dt)
             if state.step % cfg.cadence == 0 or state.t >= cfg.t_end - eps:
                 records.append(_sample(state, cfg, monitors, dt))

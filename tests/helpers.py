@@ -5,7 +5,7 @@ import numpy as np
 from nematic2d import (DirectorField2D, ScalarField2D, VectorField2D,
                        director_grad_l2_sq, director_norms, kinetic_energy,
                        velocity_from_stream, velocity_grad_l2_sq)
-from nematic2d.fields import derivative_arrays
+from nematic2d.fields import apply_multiplier, derivative_arrays
 
 
 def band_limited_field(grid, rng, kmax=4, amplitude=1.0):
@@ -154,3 +154,55 @@ def fft2_tail_fraction(grid, values, cut):
     ix = np.abs(np.fft.fftfreq(grid.nx) * 2.0)[None, :]
     iy = np.abs(np.fft.fftfreq(grid.ny) * 2.0)[:, None]
     return power[(ix > cut) | (iy > cut)].sum() / power.sum()
+
+
+# Textbook preconditioned CG and the momentum system it solves, as an oracle
+# of step_momentum's solve: A is applied with a transform per component, and
+# M p is never carried by recurrence.
+
+def reference_pcg(apply_a, apply_minv, b, tol, max_iter):
+    """Standard preconditioned CG on stacked (2, ny, nx) arrays; returns the
+    solution and the iteration count, or raises RuntimeError."""
+    bnorm = np.sqrt(np.sum(b * b))
+    x = np.zeros_like(b)
+    if bnorm == 0.0:
+        return x, 0
+    r = b.copy()
+    z = apply_minv(r)
+    p = z.copy()
+    rz = np.sum(r * z)
+    for k in range(1, max_iter + 1):
+        ap = apply_a(p)
+        alpha = rz / np.sum(p * ap)
+        x += alpha * p
+        r -= alpha * ap
+        if np.sqrt(np.sum(r * r)) <= tol * bnorm:
+            return x, k
+        z = apply_minv(r)
+        rz_new = np.sum(r * z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise RuntimeError(f"CG missed tol {tol:g} after {max_iter} iterations")
+
+
+def momentum_system(rho, u, force, dt):
+    """(apply_a, apply_minv, b) of the viscous step rho/dt - lap/2, with
+    the right-hand side assembled one component at a time."""
+    g = u.grid
+    rv = rho.values
+    a = rv / dt
+    u1, u2 = u.u1.values, u.u2.values
+    rows = []
+    for c, f in ((u1, force.u1.values), (u2, force.u2.values)):
+        cx, cy, lap = derivative_arrays(g, c, 2)
+        rows.append(a * c - rv * (u1 * cx + u2 * cy) - f + 0.5 * lap)
+    half_k2 = 0.5 * g.k2
+    minv = 1.0 / (rv.mean() / dt + half_k2)
+
+    def apply_a(w):
+        return np.stack([a * c + apply_multiplier(g, c, half_k2) for c in w])
+
+    def apply_minv(r):
+        return np.stack([apply_multiplier(g, c, minv) for c in r])
+
+    return apply_a, apply_minv, np.stack(rows)

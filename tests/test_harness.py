@@ -286,6 +286,20 @@ class TestFailureOutcomes:
         assert res.summary["max_energy_excess"] == pytest.approx(kept,
                                                                  rel=1e-12)
 
+    def test_cli_reports_a_rejected_first_sample(self, tmp_path, capsys):
+        # the first sample overflows, so no d3 run minimum exists
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text("nx = 16\nny = 16\ndt = 0.001\nt_end = 0.005\n"
+                       "scenario = taylor-green\nscenario.amplitude = 1e200\n"
+                       f"out_dir = {tmp_path / 'out'}\n")
+        with np.errstate(all="ignore"):
+            assert cli_main(["run", str(cfg)]) == 1
+        out = capsys.readouterr().out
+        assert "NonFiniteError" in out
+        assert "run min None" in out
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["d3_min_run"] is None
+
     def test_adaptive_mode_survives_fast_flow(self):
         cfg = SimConfig(nx=32, ny=32, dt=None, t_end=0.01,
                         scenario="taylor-green",
@@ -309,6 +323,61 @@ class TestFailureOutcomes:
         res = simulate(cfg, SimState(rest.rho, u, rest.d), write_files=False)
         assert res.summary["status"] == "completed", res.summary["failure"]
         assert res.state.step >= 2
+
+
+class TestEnergyBudget:
+    """The energy law E(t) + 2 int_0^t D = E(0) as an equality: its largest
+    residual over the samples, summary["energy_budget_residual_max"], has
+    to shrink with dt."""
+
+    @staticmethod
+    def residuals(scenario):
+        return [simulate(SimConfig(nx=32, ny=32, dt=dt, t_end=0.1,
+                                   scenario=scenario),
+                         write_files=False).summary["energy_budget_residual_max"]
+                for dt in (2e-3, 1e-3)]
+
+    def test_residual_converges_on_small_director(self):
+        coarse, fine = self.residuals("small-director")
+        assert fine * 3.0 <= coarse  # measured 0.0180 -> 0.00475
+
+    @pytest.mark.xfail(strict=True, reason="Crank-Nicolson leaves the "
+                       "velocity undamped where rho = 0 (ROADMAP item 2b)")
+    def test_residual_converges_on_vacuum_bubble(self):
+        coarse, fine = self.residuals("vacuum-bubble")
+        assert fine * 1.8 <= coarse  # measured 0.090 -> 0.077
+
+    def test_residual_matches_the_records(self):
+        res = simulate(SimConfig(nx=32, ny=32, dt=1e-3, t_end=0.02,
+                                 cadence=2, scenario="vacuum-bubble"),
+                       write_files=False)
+        t = np.array([r.t for r in res.records])
+        e = np.array([r.energy_total for r in res.records])
+        d = np.array([r.dissipation for r in res.records])
+        acc = np.concatenate([[0.0], np.cumsum(0.5 * (d[1:] + d[:-1])
+                                                * np.diff(t))])
+        want = np.abs(e + 2.0 * acc - e[0]).max()
+        assert want > 0.0
+        assert res.summary["energy_budget_residual_max"] == pytest.approx(
+            want, rel=1e-12)
+
+    def test_resumed_run_continues_the_integral(self):
+        common = dict(nx=32, ny=32, dt=1e-3, scenario="small-director")
+        full = simulate(SimConfig(t_end=0.04, **common), write_files=False)
+        first = simulate(SimConfig(t_end=0.02, **common), write_files=False)
+        second = simulate(SimConfig(t_end=0.04, **common), state=first.state,
+                          monitors=first.monitors, write_files=False)
+        want = full.summary["energy_budget_residual_max"]
+        assert want > first.summary["energy_budget_residual_max"]
+        assert second.summary["energy_budget_residual_max"] == pytest.approx(
+            want, rel=1e-12)
+
+    def test_cg_residual_is_reported(self):
+        cfg = SimConfig(nx=32, ny=32, dt=1e-3, t_end=0.01,
+                        scenario="vacuum-bubble")
+        res = simulate(cfg, write_files=False)
+        assert res.summary["max_cg_iterations"] > 1
+        assert 0.0 < res.summary["max_cg_residual"] <= cfg.cg_tol
 
 
 class TestCli:

@@ -1,15 +1,18 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import nematic2d.momentum
 from nematic2d import (ConvergenceError, Grid2D, ScalarField2D, VectorField2D,
                        divergence, kinetic_energy, lp_norm,
                        material_derivative, step_momentum, vector_lp_norm,
                        velocity_from_stream)
 from nematic2d.diagnostics import velocity_grad_l2_sq
+from nematic2d.fields import apply_multiplier
 
-from helpers import band_limited_field
+from helpers import band_limited_field, momentum_system, reference_pcg
 
 
 @pytest.fixture
@@ -136,6 +139,104 @@ class TestStepMomentum:
         with pytest.raises(ConvergenceError):
             step_momentum(rho, u, VectorField2D.zeros(grid), 1e-3,
                           cg_max_iter=2)
+
+
+def norm(a):
+    return math.sqrt(np.sum(a * a))
+
+
+def smooth_density(grid):
+    rng = np.random.default_rng(21)
+    return ScalarField2D(grid, 0.2 + band_limited_field(grid, rng).values ** 2)
+
+
+def random_force(grid, amplitude):
+    rng = np.random.default_rng(22)
+    return VectorField2D(band_limited_field(grid, rng, amplitude=amplitude),
+                         band_limited_field(grid, rng, amplitude=amplitude))
+
+
+class TestCgSolve:
+    """The solve inside step_momentum carries M p by recurrence; the
+    textbook PCG in helpers.reference_pcg applies A in full."""
+
+    @pytest.mark.parametrize("density", [vacuum_disk_density, smooth_density])
+    def test_solve_matches_reference_pcg(self, grid, density, monkeypatch):
+        rho, u, force = density(grid), small_vortex(grid, 0.3), random_force(
+            grid, 2.0)
+        dt, tol = 1e-3, 1e-10
+        solves = []
+        real = nematic2d.momentum._pcg
+
+        def spy(*args):
+            out = real(*args)
+            solves.append(out[0].copy())
+            return out
+
+        monkeypatch.setattr(nematic2d.momentum, "_pcg", spy)
+        info = {}
+        step_momentum(rho, u, force, dt, cg_tol=tol, info=info)
+        (x,) = solves
+        apply_a, apply_minv, b = momentum_system(rho, u, force, dt)
+        want, iters = reference_pcg(apply_a, apply_minv, b, tol, 500)
+        assert norm(x - want) <= 1e-8 * norm(want)
+        # same Krylov iterates in exact arithmetic; rounding may move the
+        # exit by one iteration
+        assert abs(info["cg_iterations"] - iters) <= 1
+        residual = norm(b - apply_a(x)) / norm(b)
+        assert residual <= tol
+        assert info["cg_residual"] == pytest.approx(residual, rel=1e-2)
+
+    def test_two_transforms_per_iteration(self, grid, monkeypatch):
+        rho, u, force = (vacuum_disk_density(grid), small_vortex(grid, 0.3),
+                         random_force(grid, 5.0))
+        calls = Counter()
+        for name in ("rfft2", "irfft2"):
+            def counted(*args, _real=getattr(np.fft, name), _name=name,
+                        **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        info = {}
+        step_momentum(rho, u, force, 1e-3, info=info)
+        iters = info["cg_iterations"]
+        assert iters >= 10  # measured 22
+        # the right-hand side, the exit check and the projection take a
+        # fixed number, the iterations two each (measured 2 iters + 8)
+        assert sum(calls.values()) <= 2 * iters + 12
+
+    def _drifting_system(self):
+        # apply_minv inverts 1.1 M instead of M, so M z = r fails and the
+        # recurrence converges to the wrong system until CG restarts from
+        # the true residual
+        g = Grid2D(16, 16, 1.0, 1.0)
+        rng = np.random.default_rng(23)
+        shift = 10.0 * np.abs(band_limited_field(g, rng).values)
+        m = 5.0 + 0.5 * g.k2
+        b = np.stack([band_limited_field(g, rng).values for _ in range(2)])
+        return (lambda a: apply_multiplier(g, a, m),
+                lambda a: apply_multiplier(g, a, 1.0 / (1.1 * m)), shift, b)
+
+    def test_restarts_from_the_true_residual(self):
+        apply_m, apply_minv, shift, b = self._drifting_system()
+        x, iters, residual = nematic2d.momentum._pcg(
+            apply_m, apply_minv, shift, b, 1e-10, 500)
+        true = norm(b - apply_m(x) - shift * x) / norm(b)
+        assert true <= 1e-10
+        assert residual == pytest.approx(true, rel=1e-6)
+        # a single pass solves 1.1 M + shift, 9% away from the system
+        _, one_pass = reference_pcg(
+            lambda a: 1.1 * apply_m(a) + shift * a, apply_minv, b, 1e-10, 500)
+        assert iters > one_pass
+
+    def test_restarts_share_the_iteration_budget(self):
+        apply_m, apply_minv, shift, b = self._drifting_system()
+        _, iters, _ = nematic2d.momentum._pcg(apply_m, apply_minv, shift, b,
+                                              1e-10, 500)
+        with pytest.raises(ConvergenceError) as exc:
+            nematic2d.momentum._pcg(apply_m, apply_minv, shift, b, 1e-10,
+                                    iters - 1)
+        assert exc.value.iterations == iters - 1
 
 
 class TestKineticEnergy:
