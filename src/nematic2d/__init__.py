@@ -5,12 +5,12 @@ smallness threshold, the Serrin blow-up functional, the rigidity gap)
 computed and logged as first-class diagnostics."""
 
 from .config import SimConfig, parse_config
-from .diagnostics import (DiagnosticsRecord, DirectorBoundMonitor,
-                          DirectorNorms, PhiMonitor, PhiSample,
-                          SerrinExponents, SerrinMonitor, admissible_exponents,
-                          d3_min, density_deviation, director_grad_l2_sq,
-                          director_norms, phi_functional, serrin_norm,
-                          smallness_condition, velocity_grad_l2_sq)
+from .diagnostics import (DiagnosticsRecord, DirectorNorms, PhiSample,
+                          SampleIntegral, SerrinExponents, SerrinMonitor,
+                          admissible_exponents, d3_min, density_deviation,
+                          director_grad_l2_sq, director_norms, phi_functional,
+                          serrin_norm, smallness_condition,
+                          velocity_grad_l2_sq)
 from .director import (DegenerateDirectorError, director_derivatives,
                        ericksen_stress, renormalize, step_director, unit_drift)
 from .fields import (DirectorField2D, Grid2D, NonFiniteError, ScalarField2D,

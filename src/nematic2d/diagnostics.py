@@ -2,9 +2,9 @@
 
 Instantaneous quantities (energies, norms, minima, the smallness threshold)
 are plain functions of fields; the rigidity ratios are properties of
-DirectorNorms. Time-accumulated monitors (the Serrin blow-up functional, the
-small-data director bound, and the higher-order energy) are small stateful
-classes fed by the stepping loop.
+DirectorNorms. Time-accumulated monitors are fed by the stepping loop: the
+Serrin blow-up functional per step, and the small-data director bound and
+the higher-order energy per sample through SampleIntegral.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from .fields import (DirectorField2D, NonFiniteError, ScalarField2D,
                      VectorField2D, component_derivatives, integral,
                      lp_norm_array)
 from .momentum import kinetic_energy
+
+SMALL_DATA_BOUND = 1.0 / 16.0  # the paper's small-data constant
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +113,7 @@ def smallness_value(ke: float, gd: float) -> tuple[float, bool]:
         value = math.exp(2.0 * (ke + gd) + math.log(gd)) if gd > 0.0 else 0.0
     except OverflowError:
         value = math.inf
-    return value, value <= 1.0 / 16.0
+    return value, value <= SMALL_DATA_BOUND
 
 
 # ---------------------------------------------------------------------------
@@ -163,39 +165,37 @@ class SerrinMonitor:
 
 
 # ---------------------------------------------------------------------------
-# small-data director bound: sup ||grad d||^2 + int ||hess d||^2 <= 1/16
+# run-level sup plus time integral
 
 @dataclass
-class DirectorBoundMonitor:
-    THRESHOLD = 1.0 / 16.0  # the paper's small-data constant
+class SampleIntegral:
+    """Running sup of one sampled quantity and trapezoid-in-time integral of
+    another over the sample times. It carries the small-data director bound
+    sup ||grad d||^2 + int ||lap d||^2 <= SMALL_DATA_BOUND, the two parts of
+    the higher-order energy (phi_functional) and the dissipation integral of
+    the energy law."""
 
-    sup_grad_sq: float = 0.0
-    integral_hess_sq: float = 0.0
-    _prev: tuple[float, float] | None = None
+    sup: float = 0.0
+    integral: float = 0.0
+    _prev: tuple[float, float] | None = None  # last sample's (t, integrand)
 
-    def update(self, t: float, grad_l2_sq: float, hess_l2_sq: float) -> None:
-        self.sup_grad_sq = max(self.sup_grad_sq, grad_l2_sq)
+    def update(self, t: float, integrand: float, sup_term: float = 0.0) -> None:
+        self.sup = max(self.sup, sup_term)
         if self._prev is not None:
-            t0, h0 = self._prev
-            self.integral_hess_sq += 0.5 * (h0 + hess_l2_sq) * (t - t0)
-        self._prev = (t, hess_l2_sq)
-
-    @property
-    def value(self) -> float:
-        return self.sup_grad_sq + self.integral_hess_sq
-
-    def satisfied(self, slack: float = 1e-3) -> bool:
-        return self.value <= self.THRESHOLD + slack
+            t0, b0 = self._prev
+            self.integral += 0.5 * (b0 + integrand) * (t - t0)
+        self._prev = (t, integrand)
 
 
 # ---------------------------------------------------------------------------
-# higher-order energy monitor
+# higher-order energy, batch form
 
 @dataclass(frozen=True)
 class PhiSample:
-    """One cadence sample of the higher-order energy ingredients. Time
-    derivatives are backward differences against the previous sample and
-    vanish by convention on the first one."""
+    """One cadence sample of the higher-order energy ingredients, for the
+    batch reference phi_functional (a run accumulates phi in a
+    SampleIntegral). Time derivatives are backward differences against the
+    previous sample and vanish by convention on the first one."""
 
     t: float
     grad_u_l2_sq: float
@@ -217,29 +217,6 @@ def phi_functional(samples: list[PhiSample]) -> float:
         gb = b.rho_udot_l2_sq + b.dt_d_h1_sq + b.hess_d_h1_sq
         acc += 0.5 * (ga + gb) * (b.t - a.t)
     return math.e + sup + acc
-
-
-@dataclass
-class PhiMonitor:
-    """Incremental form of phi_functional over a growing sample list."""
-
-    sup: float = 0.0
-    acc: float = 0.0
-    _prev_g: float | None = None
-    _prev_t: float | None = None
-
-    def update(self, s: PhiSample) -> float:
-        self.sup = max(self.sup, s.grad_u_l2_sq + s.grad_d_h1_sq)
-        g = s.rho_udot_l2_sq + s.dt_d_h1_sq + s.hess_d_h1_sq
-        if self._prev_t is not None:
-            self.acc += 0.5 * (self._prev_g + g) * (s.t - self._prev_t)
-        self._prev_g = g
-        self._prev_t = s.t
-        return self.value
-
-    @property
-    def value(self) -> float:
-        return math.e + self.sup + self.acc
 
 
 # ---------------------------------------------------------------------------

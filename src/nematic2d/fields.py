@@ -251,19 +251,8 @@ def _leray_spectrum(grid: Grid2D, a: np.ndarray):
 
 def solenoidal_arrays(grid: Grid2D, a: np.ndarray) -> np.ndarray:
     """Divergence-free part w of stacked a (2, ny, nx) = w + grad(phi), as
-    in project_arrays; phi is not formed."""
+    in leray_project; phi is not formed."""
     return np.fft.irfft2(_leray_spectrum(grid, a)[0], s=grid.shape)
-
-
-def project_arrays(grid: Grid2D, a1: np.ndarray, a2: np.ndarray):
-    """Helmholtz split a = w + grad(phi) with div(w) = 0; returns (w1, w2, phi).
-
-    Modewise w_hat = a_hat - k (k . a_hat)/|k|^2; the zero mode of a passes
-    through unchanged and phi has zero mean.
-    """
-    h, coeff = _leray_spectrum(grid, np.stack([a1, a2]))
-    w = np.fft.irfft2(h, s=grid.shape)
-    return w[0], w[1], np.fft.irfft2(-1j * coeff, s=grid.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +290,16 @@ def velocity_from_stream(psi: ScalarField2D) -> VectorField2D:
 
 
 def leray_project(v: VectorField2D) -> tuple[VectorField2D, ScalarField2D]:
-    """Divergence-free part of v and its gradient potential (project_arrays)."""
-    w1, w2, phi = project_arrays(v.grid, v.u1.values, v.u2.values)
-    return VectorField2D.from_arrays(v.grid, w1, w2), ScalarField2D(v.grid, phi)
+    """Helmholtz split v = w + grad(phi) with div(w) = 0; returns (w, phi).
+
+    Modewise w_hat = v_hat - k (k . v_hat)/|k|^2; the zero mode of v passes
+    through unchanged and phi has zero mean.
+    """
+    g = v.grid
+    h, coeff = _leray_spectrum(g, np.stack([v.u1.values, v.u2.values]))
+    w = np.fft.irfft2(h, s=g.shape)
+    return (VectorField2D.from_arrays(g, w[0], w[1]),
+            ScalarField2D(g, np.fft.irfft2(-1j * coeff, s=g.shape)))
 
 
 TAIL_CUT = 0.5

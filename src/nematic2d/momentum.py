@@ -19,7 +19,9 @@ residual, M p is carried by the recurrence M p_k = r_k + beta M p_(k-1)
 transform: an iteration costs one forward and one inverse transform of the
 stacked (2, ny, nx) residual. Because the recurrence can drift, the true
 residual b - A x is formed once the recursive one meets the tolerance, and
-CG restarts from it if it misses.
+CG restarts from it if it misses. A restart whose true residual is not
+below the previous restart's cannot help (rounding floors the residual), so
+the solve then fails at once instead of spending the iteration cap.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from .fields import (ScalarField2D, VectorField2D, apply_multiplier,
 
 class ConvergenceError(RuntimeError):
     """The conjugate gradient solve missed its tolerance within the
-    iteration cap (e.g. an extreme density ratio)."""
+    iteration cap or stalled above it (e.g. an extreme density ratio or a
+    tolerance below rounding); `iterations` is what it spent."""
 
     def __init__(self, message: str, iterations: int):
         super().__init__(message)
@@ -58,6 +61,7 @@ def _pcg(apply_m, apply_minv, shift, b, tol, max_iter):
     ap = np.empty_like(b)
     tmp = np.empty_like(b)
     k = 0
+    last = math.inf  # true residual at the previous restart
     while True:  # one pass per (re)start from the true residual r
         p = apply_minv(r)
         mp = r.copy()
@@ -88,6 +92,11 @@ def _pcg(apply_m, apply_minv, shift, b, tol, max_iter):
         residual = math.sqrt(np.vdot(r, r)) / bnorm
         if residual <= tol:
             return x, k, residual
+        if residual >= last:
+            raise ConvergenceError(
+                f"CG stalled at residual {residual:.3g} > tol {tol:g} after "
+                f"{k} iterations", k)
+        last = residual
 
 
 def _right_side(rv, u, force, dt):

@@ -19,8 +19,8 @@ class CFLError(RuntimeError):
 
 def cfl_number(u: VectorField2D, dt: float) -> float:
     g = u.grid
-    return dt * max(np.abs(u.u1.values).max() / g.dx,
-                    np.abs(u.u2.values).max() / g.dy)
+    return dt * float(max(np.abs(u.u1.values).max() / g.dx,
+                          np.abs(u.u2.values).max() / g.dy))
 
 
 def _cubic_weights(t: np.ndarray):

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from nematic2d import (DiagnosticsRecord, DirectorBoundMonitor,
-                       DirectorField2D, Grid2D, PhiMonitor, PhiSample,
-                       ScalarField2D, SerrinExponents, SerrinMonitor,
-                       SimConfig, VectorField2D, admissible_exponents,
-                       d3_min, director_norms, make_scenario, phi_functional,
-                       renormalize, serrin_norm, simulate,
-                       smallness_condition, step_director)
+from nematic2d import (DiagnosticsRecord, DirectorField2D, Grid2D, PhiSample,
+                       SampleIntegral, ScalarField2D, SerrinExponents,
+                       SerrinMonitor, SimConfig, VectorField2D,
+                       admissible_exponents, d3_min, director_norms,
+                       make_scenario, phi_functional, renormalize,
+                       serrin_norm, simulate, smallness_condition,
+                       step_director)
+from nematic2d.diagnostics import SMALL_DATA_BOUND
 from nematic2d.fields import derivative_arrays, integral
 
 from helpers import basic_energy, circle_director, random_unit_director
@@ -207,17 +208,33 @@ class TestD3Floor:
             assert d3_min(d) >= floor0 - 1e-6
 
 
-class TestDirectorBoundMonitor:
+class TestSampleIntegral:
     def test_trapezoid_arithmetic(self):
-        mon = DirectorBoundMonitor()
-        mon.update(0.0, 0.01, 2.0)
-        mon.update(0.5, 0.03, 4.0)
-        mon.update(1.0, 0.02, 0.0)
-        assert mon.sup_grad_sq == pytest.approx(0.03)
-        assert mon.integral_hess_sq == pytest.approx(0.5 * (2 + 4) * 0.5
-                                                     + 0.5 * (4 + 0) * 0.5)
-        assert mon.satisfied(slack=10.0)
-        assert not mon.satisfied(slack=0.0)
+        acc = SampleIntegral()
+        acc.update(0.0, 2.0, 0.01)
+        acc.update(0.5, 4.0, 0.03)
+        acc.update(1.0, 0.0, 0.02)
+        assert acc.sup == pytest.approx(0.03)
+        assert acc.integral == pytest.approx(0.5 * (2 + 4) * 0.5
+                                             + 0.5 * (4 + 0) * 0.5)
+
+
+class TestDirectorBound:
+    def test_summary_matches_the_records(self):
+        # sup ||grad d||^2 + int ||lap d||^2 by the trapezoid rule over the
+        # sample times, against the paper's 1/16 with the summary's slack
+        res = simulate(SimConfig(nx=32, ny=32, dt=1e-3, t_end=0.02,
+                                 cadence=2, scenario="small-director"),
+                       write_files=False)
+        t = np.array([r.t for r in res.records])
+        grad = np.array([r.grad_d_l2_sq for r in res.records])
+        hess = np.array([r.hess_d_l2_sq for r in res.records])
+        want = grad.max() + np.sum(0.5 * (hess[1:] + hess[:-1]) * np.diff(t))
+        value = res.summary["director_bound_value"]
+        assert value == pytest.approx(want, rel=1e-12)
+        assert res.summary["director_bound_held"] is (
+            value <= SMALL_DATA_BOUND + 1e-3)
+        assert SMALL_DATA_BOUND == 1.0 / 16.0
 
 
 class TestPhi:
@@ -234,10 +251,12 @@ class TestPhi:
                              dt_d_h1_sq=rng.random(),
                              hess_d_h1_sq=rng.random())
                    for t in np.linspace(0.0, 1.0, 17)]
-        mon = PhiMonitor()
+        acc = SampleIntegral()
         for s in samples:
-            mon.update(s)
-        assert mon.value == pytest.approx(phi_functional(samples), rel=1e-14)
+            acc.update(s.t, s.rho_udot_l2_sq + s.dt_d_h1_sq + s.hess_d_h1_sq,
+                       s.grad_u_l2_sq + s.grad_d_h1_sq)
+        assert math.e + acc.sup + acc.integral == pytest.approx(
+            phi_functional(samples), rel=1e-14)
 
     def test_first_order_refinement(self):
         # halving dt roughly halves the time-integration error of phi

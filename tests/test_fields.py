@@ -6,7 +6,7 @@ from nematic2d import (Grid2D, ScalarField2D, VectorField2D, divergence,
                        spectral_tail_fraction, vector_lp_norm,
                        velocity_from_stream)
 from nematic2d.fields import (TAIL_CUT, apply_multiplier, derivative_arrays,
-                              project_arrays)
+                              solenoidal_arrays)
 
 from helpers import (band_limited_field, fft2_derivatives, fft2_multiplier,
                      fft2_project, fft2_tail_fraction, full_wavenumbers,
@@ -233,9 +233,16 @@ class TestHalfSpectrum:
             assert_matches(apply_multiplier(grid, data[0], half),
                            fft2_multiplier(data[0], full))
 
-    def test_project_arrays_matches_oracle(self, grid, data):
-        for a, b in zip(project_arrays(grid, data[0], data[1]),
+    def test_leray_project_matches_oracle(self, grid, data):
+        w, phi = leray_project(VectorField2D.from_arrays(grid, *data))
+        for a, b in zip((w.u1.values, w.u2.values, phi.values),
                         fft2_project(grid, data[0], data[1])):
+            assert_matches(a, b)
+
+    def test_solenoidal_arrays_matches_oracle(self, grid, data):
+        w = solenoidal_arrays(grid, data)
+        assert w.shape == data.shape
+        for a, b in zip(w, fft2_project(grid, data[0], data[1])[:2]):
             assert_matches(a, b)
 
     @pytest.mark.parametrize("shape", [(24, 16, 2.0, 1.0), (32, 32, 1.0, 1.0)])

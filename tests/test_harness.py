@@ -2,18 +2,21 @@ import ast
 import importlib
 import json
 import math
+import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nematic2d import (Grid2D, ScalarField2D, SimConfig, SimState,
-                       VectorField2D, cfl_number, export_heatmap,
-                       make_scenario, parse_config, read_csv, read_snapshot,
-                       replay_csv, simulate, write_snapshot)
+from nematic2d import (Grid2D, RunMonitors, ScalarField2D, SimConfig,
+                       SimState, VectorField2D, cfl_number, export_heatmap,
+                       initial_state, make_scenario, parse_config, read_csv,
+                       read_snapshot, replay_csv, simulate, step_once,
+                       write_snapshot)
 from nematic2d.cli import main as cli_main
 from nematic2d.io import CSV_COLUMNS
-from nematic2d.simulation import energy_slack
+from nematic2d.simulation import _sample, energy_slack
 
 
 class TestConfigFile:
@@ -286,6 +289,28 @@ class TestFailureOutcomes:
         assert res.summary["max_energy_excess"] == pytest.approx(kept,
                                                                  rel=1e-12)
 
+    def test_overflow_is_logged_without_warnings(self):
+        cfg = SimConfig(nx=16, ny=16, dt=1e-3, t_end=5e-3,
+                        scenario="taylor-green",
+                        scenario_params={"amplitude": 1e200})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = simulate(cfg, write_files=False)
+        assert res.summary["failure"]["cause"] == "NonFiniteError"
+
+    def test_stalled_cg_stops_early_and_reports_its_iterations(self):
+        # 1e-15 is below what rounding lets the true residual reach, so
+        # restarts cannot help
+        cfg = SimConfig(nx=32, ny=32, dt=1e-3, t_end=0.02, cg_tol=1e-15,
+                        scenario="vacuum-bubble")
+        res = simulate(cfg, write_files=False)
+        failure = res.summary["failure"]
+        assert failure["cause"] == "ConvergenceError"
+        assert failure["step"] == 0
+        iters = res.summary["max_cg_iterations"]
+        assert 0 < iters < 100  # measured 28; the cap is 500
+        assert f"after {iters} iterations" in failure["message"]
+
     def test_cli_reports_a_rejected_first_sample(self, tmp_path, capsys):
         # the first sample overflows, so no d3 run minimum exists
         cfg = tmp_path / "r.cfg"
@@ -307,6 +332,38 @@ class TestFailureOutcomes:
         res = simulate(cfg, write_files=False)
         assert res.summary["status"] == "completed"
         assert res.state.t == pytest.approx(0.01)
+
+    def test_adaptive_run_writes_its_summary(self, tmp_path):
+        # without dt the first steps sit at the CFL cap, so dt, t and the
+        # director bound all derive from cfl_number
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text("nx = 32\nny = 32\nt_end = 0.05\n"
+                       "scenario = small-director\n"
+                       f"out_dir = {tmp_path / 'out'}\n")
+        assert cli_main(["run", str(cfg)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text(),
+                             parse_constant=reject)
+        assert summary["status"] == "completed"
+        assert summary["director_bound_held"] is True
+
+    def test_adaptive_summary_holds_plain_values(self):
+        res = simulate(SimConfig(nx=32, ny=32, t_end=0.05,
+                                 scenario="small-director"),
+                       write_files=False)
+        assert res.summary["status"] == "completed"
+
+        def plain(v):
+            if isinstance(v, dict):
+                return all(plain(x) for x in v.values())
+            return type(v) in (bool, int, float, str, type(None))
+
+        bad = {k: type(v).__name__ for k, v in res.summary.items()
+               if not plain(v)}
+        assert not bad
 
     def test_step_at_the_cfl_cap_is_accepted(self):
         # uniform flow u1 = 1.051 on a 16^2 unit box: nu = 16.816, and the
@@ -433,6 +490,39 @@ class TestDemos:
                     for alias in node.names:
                         assert hasattr(module, alias.name), (path.name,
                                                              alias.name)
+
+
+class TestTransformBudget:
+    """rfft2/irfft2 calls per stage at 32^2, as upper bounds (measured
+    equal): a change that adds a transform to a stage shows here."""
+
+    @pytest.mark.parametrize("scenario",
+                             ["angle-condition", "vacuum-bubble",
+                              "small-director"])
+    def test_transforms_per_stage(self, scenario, monkeypatch):
+        calls = Counter()
+        for name in ("rfft2", "irfft2"):
+            def counted(*args, _real=getattr(np.fft, name), **kwargs):
+                calls["fft"] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+
+        def cost(fn, *args):
+            before = calls["fft"]
+            out = fn(*args)
+            return calls["fft"] - before, out
+
+        cfg = SimConfig(nx=32, ny=32, dt=1e-3, scenario=scenario)
+        state = initial_state(cfg)
+        n, mon = cost(RunMonitors.fresh, cfg, state)
+        assert n <= 9
+        assert cost(_sample, state, cfg, mon, cfg.dt)[0] <= 24
+        info = {}
+        n, state = cost(step_once, state, cfg, cfg.dt, info)
+        assert n <= 35 + 2 * info["cg_iterations"]
+        assert cost(mon.serrin.update, state.d, cfg.dt)[0] <= 9
+        # later samples add the time derivatives against the previous one
+        assert cost(_sample, state, cfg, mon, cfg.dt)[0] <= 33
 
 
 class TestSpectralLayout:
