@@ -17,7 +17,7 @@ import numpy as np
 from .director import director_derivatives
 from .fields import (DirectorField2D, NonFiniteError, ScalarField2D,
                      VectorField2D, component_derivatives, integral,
-                     lp_norm_array)
+                     lp_norm_array, parseval_derivatives)
 from .momentum import kinetic_energy
 
 SMALL_DATA_BOUND = 1.0 / 16.0  # the paper's small-data constant
@@ -65,15 +65,21 @@ class DirectorNorms:
 
 
 def director_norms(d: DirectorField2D) -> DirectorNorms:
-    """All of DirectorNorms from one forward transform per component."""
+    """All of DirectorNorms. |grad d|^2 comes from d's memoized bundle
+    (director_derivatives); each component then costs one forward and one
+    inverse transform, for lap d in real space, which the tension needs.
+    int |grad lap d|^2 is taken by Parseval on the same spectrum."""
     g = d.grid
-    ders, gs = director_derivatives(d, order=3)
+    gs = director_derivatives(d)[1]
+    hess = third = tension = 0.0
+    for c in d.components:
+        _, lap, grad_lap = parseval_derivatives(g, c.values, 3)
+        hess += integral(g, lap**2)
+        third += grad_lap
+        tension += integral(g, (lap + gs * c.values) ** 2)
     return DirectorNorms(
         grad_l2_sq=integral(g, gs), grad_l4_4=integral(g, gs * gs),
-        hess_l2_sq=sum(integral(g, x[2] ** 2) for x in ders),
-        third_l2_sq=sum(integral(g, x[3] ** 2 + x[4] ** 2) for x in ders),
-        tension_l2_sq=sum(integral(g, (x[2] + gs * c.values) ** 2)
-                          for x, c in zip(ders, d.components)))
+        hess_l2_sq=hess, third_l2_sq=third, tension_l2_sq=tension)
 
 
 def director_grad_l2_sq(d: DirectorField2D) -> float:
@@ -147,7 +153,8 @@ class SerrinExponents:
 
 
 def serrin_norm(d: DirectorField2D, r: float) -> float:
-    """L^r norm of the pointwise gradient magnitude |grad d|."""
+    """L^r norm of the pointwise gradient magnitude |grad d|, from d's
+    memoized bundle (director_derivatives)."""
     return lp_norm_array(d.grid, np.sqrt(director_derivatives(d)[1]), r)
 
 

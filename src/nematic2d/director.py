@@ -43,10 +43,29 @@ def _renormalized(grid, comps) -> DirectorField2D:
     return DirectorField2D.from_arrays(grid, *(c / norm for c in comps))
 
 
+# attribute under which a DirectorField2D keeps its first-derivative bundle
+_BUNDLE = "_first_derivatives"
+
+
 def director_derivatives(d: DirectorField2D, order: int = 1):
-    """component_derivatives of the director's components."""
-    return component_derivatives(d.grid, [c.values for c in d.components],
-                                 order)
+    """component_derivatives of the director's components.
+
+    The order-1 result, the bundle ([(dx, dy)] per component,
+    |grad d|^2), is memoized on d: a DirectorField2D is frozen and its
+    values are read-only, so the bundle cannot go stale. Every pass stores
+    its first-order part as the bundle, so ericksen_stress seeds it from
+    its own order-2 pass; order 1 then returns the stored arrays without a
+    transform, and step_director, the bundle's last reader, drops it.
+    Higher orders are always computed afresh.
+    """
+    if order == 1:
+        bundle = vars(d).get(_BUNDLE)
+        if bundle is not None:
+            return bundle
+    ders, grad_sq = component_derivatives(
+        d.grid, [c.values for c in d.components], order)
+    object.__setattr__(d, _BUNDLE, ([(x[0], x[1]) for x in ders], grad_sq))
+    return ders, grad_sq
 
 
 def step_director(d: DirectorField2D, u: VectorField2D,
@@ -57,6 +76,11 @@ def step_director(d: DirectorField2D, u: VectorField2D,
     componentwise in Fourier space, then renormalizes. Signals
     DegenerateDirectorError when any |d*| < FLOOR, meaning the step is too
     large for the constraint manifold.
+
+    grad(d) comes from d's memoized bundle (director_derivatives), which
+    the step then drops from d: a stepped-from director is not read again
+    in a run, and older states kept alive, such as the last sample, would
+    otherwise hold their gradients.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -64,6 +88,7 @@ def step_director(d: DirectorField2D, u: VectorField2D,
         raise ValueError("director and velocity grids differ")
     g = d.grid
     grads, grad_sq = director_derivatives(d)
+    vars(d).pop(_BUNDLE, None)
     u1, u2 = u.u1.values, u.u2.values
     inv = 1.0 / (1.0 + dt * g.k2)
     star = []
@@ -79,6 +104,8 @@ def ericksen_stress(d: DirectorField2D) -> VectorField2D:
 
     div(M) and f differ by the pure gradient grad(|grad d|^2 / 2), which the
     pressure absorbs, so their divergence-free projections agree.
+
+    The first-derivative part of this pass becomes d's memoized bundle.
     """
     ders, _ = director_derivatives(d, order=2)
     f1 = sum(gx * lap for gx, _, lap in ders)

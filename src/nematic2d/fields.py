@@ -82,6 +82,21 @@ class Grid2D:
         ky = 2.0 * np.pi * np.fft.fftfreq(self.ny, d=self.dy)
         return (kx**2)[None, :] + (ky**2)[:, None]
 
+    # Parseval weight of each half-spectrum column: columns 1 .. nx/2 - 1
+    # stand for themselves and their conjugate modes
+    @cached_property
+    def column_weight(self) -> np.ndarray:
+        w = np.full(self.nx // 2 + 1, 2.0)
+        w[0] = w[self.nx // 2] = 1.0
+        return w[None, :]
+
+    # int |grad f|^2 = sum(gradient_weight * |rfft2(f)|^2), with the kx/ky
+    # of first derivatives (Nyquist dropped)
+    @cached_property
+    def gradient_weight(self) -> np.ndarray:
+        return ((self.kx**2 + self.ky**2) * self.column_weight
+                * (self.cell_area / (self.nx * self.ny)))
+
 
 @dataclass(frozen=True, eq=False)
 class ScalarField2D:
@@ -204,6 +219,31 @@ def derivative_arrays(grid: Grid2D, a: np.ndarray,
     return out
 
 
+def parseval_derivatives(grid: Grid2D, a: np.ndarray,
+                         order: int = 1) -> list:
+    """derivative_arrays with each gradient pair [dx, dy] replaced by its
+    integral int (dx^2 + dy^2), summed over the leading axes of a and
+    computed by Parseval's identity on the half spectrum:
+    [int |grad a|^2] at order 1, then lap a at order 2 and
+    int |grad lap a|^2 at order 3. One forward transform of a, and one
+    inverse for lap a from order 2 on.
+    """
+    h = np.fft.rfft2(a)
+    out = [_gradient_integral(grid, h)]
+    if order >= 2:
+        h = -grid.k2 * h
+        out.append(np.fft.irfft2(h, s=grid.shape))
+    if order >= 3:
+        out.append(_gradient_integral(grid, h))
+    return out
+
+
+def _gradient_integral(grid: Grid2D, h: np.ndarray) -> float:
+    """int |grad f|^2, summed over leading axes, from the half spectrum h
+    of f."""
+    return float(np.vdot(h, grid.gradient_weight * h).real)
+
+
 def component_derivatives(grid: Grid2D, comps, order: int = 1):
     """derivative_arrays of each component, and the pointwise sum of
     |grad c|^2 over the components."""
@@ -221,7 +261,9 @@ def apply_multiplier(grid: Grid2D, a: np.ndarray, m) -> np.ndarray:
     as a real function of |k|^2 or i times an odd one, so that the result is
     real; the dropped half of the spectrum is implied by that symmetry.
     """
-    return np.fft.irfft2(m * np.fft.rfft2(a), s=grid.shape)
+    h = np.fft.rfft2(a)
+    h *= m
+    return np.fft.irfft2(h, s=grid.shape)
 
 
 def lp_norm_array(grid: Grid2D, values: np.ndarray, p: float) -> float:
@@ -310,10 +352,8 @@ def spectral_tail_fraction(f: ScalarField2D) -> float:
     wavenumber in either direction; a resolution-loss indicator."""
     g = f.grid
     fh = np.fft.rfft2(f.values)
-    power = np.abs(fh) ** 2
+    power = np.abs(fh) ** 2 * g.column_weight
     power[0, 0] = 0.0
-    # columns 1 .. nx/2 - 1 stand for themselves and their conjugate modes
-    power[:, 1:g.nx // 2] *= 2.0
     ix = (np.fft.rfftfreq(g.nx) * 2.0)[None, :]  # |kx|/k_nyq in [0, 1]
     iy = np.abs(np.fft.fftfreq(g.ny) * 2.0)[:, None]
     tail = (ix > TAIL_CUT) | (iy > TAIL_CUT)

@@ -58,13 +58,14 @@ def _pcg(apply_m, apply_minv, shift, b, tol, max_iter):
     if bnorm == 0.0:
         return x, 0, 0.0
     r = b.copy()
-    ap = np.empty_like(b)
-    tmp = np.empty_like(b)
     k = 0
     last = math.inf  # true residual at the previous restart
+    # p, mp and ap are freed while the true residual is formed, so that the
+    # transforms' temporaries take their place; a restart rebuilds them
     while True:  # one pass per (re)start from the true residual r
         p = apply_minv(r)
         mp = r.copy()
+        ap = np.empty_like(b)  # A p, then scratch for alpha p
         rz = np.vdot(r, p)
         while True:
             if k == max_iter:
@@ -75,8 +76,9 @@ def _pcg(apply_m, apply_minv, shift, b, tol, max_iter):
             np.multiply(shift, p, out=ap)
             ap += mp
             alpha = rz / np.vdot(p, ap)
-            x += np.multiply(p, alpha, out=tmp)
-            r -= np.multiply(ap, alpha, out=tmp)
+            ap *= alpha
+            r -= ap
+            x += np.multiply(p, alpha, out=ap)
             if math.sqrt(np.vdot(r, r)) <= tol * bnorm:
                 break
             z = apply_minv(r)
@@ -87,8 +89,9 @@ def _pcg(apply_m, apply_minv, shift, b, tol, max_iter):
             p += z
             mp *= beta
             mp += r
+        p = mp = ap = None
         np.subtract(b, apply_m(x), out=r)
-        r -= np.multiply(shift, x, out=tmp)
+        r -= shift * x
         residual = math.sqrt(np.vdot(r, r)) / bnorm
         if residual <= tol:
             return x, k, residual
@@ -101,10 +104,20 @@ def _pcg(apply_m, apply_minv, shift, b, tol, max_iter):
 
 def _right_side(rv, u, force, dt):
     """rho u/dt - rho (u . grad u) - f + lap(u)/2 as a stacked (2, ny, nx)
-    array; the derivative arrays are freed before the solve starts."""
+    array; the derivative arrays are freed before the solve starts, and
+    each as soon as it is used."""
     vel = np.stack([u.u1.values, u.u2.values])
     dx, dy, lap = derivative_arrays(u.grid, vel, 2)
-    b = (rv / dt) * vel - rv * (vel[0] * dx + vel[1] * dy) + 0.5 * lap
+    adv = vel[0] * dx
+    del dx
+    adv += vel[1] * dy
+    del dy
+    adv *= rv
+    b = (rv / dt) * vel
+    b -= adv
+    del adv
+    lap *= 0.5
+    b += lap
     b[0] -= force.u1.values
     b[1] -= force.u2.values
     return b
@@ -133,12 +146,14 @@ def step_momentum(rho: ScalarField2D, u: VectorField2D, force: VectorField2D,
         raise ValueError("density must not vanish identically")
 
     rho_bar = float(rv.mean())
-    b = _right_side(rv, u, force, dt)
     m = rho_bar / dt + 0.5 * g.k2
     minv = 1.0 / m
+    # the right side is passed as a temporary, so it is freed with the solve
     star, iters, residual = _pcg(lambda a: apply_multiplier(g, a, m),
                                  lambda a: apply_multiplier(g, a, minv),
-                                 (rv - rho_bar) / dt, b, cg_tol, cg_max_iter)
+                                 (rv - rho_bar) / dt,
+                                 _right_side(rv, u, force, dt), cg_tol,
+                                 cg_max_iter)
     if info is not None:
         info["cg_iterations"] = iters
         info["cg_residual"] = residual

@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
@@ -21,8 +22,8 @@ from . import diagnostics as diag
 from .config import SimConfig
 from .director import (DegenerateDirectorError, ericksen_stress, step_director,
                        unit_drift)
-from .fields import (NonFiniteError, component_derivatives, derivative_arrays,
-                     integral, spectral_tail_fraction)
+from .fields import (NonFiniteError, derivative_arrays, integral,
+                     parseval_derivatives, spectral_tail_fraction)
 from .io import export_heatmap, read_csv, write_csv, write_snapshot
 from .momentum import (ConvergenceError, acceleration_arrays, kinetic_energy,
                        step_momentum)
@@ -100,15 +101,37 @@ def initial_state(cfg: SimConfig) -> SimState:
                          rho_bar=cfg.rho_bar, e=cfg.e)
 
 
+# the stage times step_once writes into its `info`
+STEP_STAGES = ("t_transport", "t_director", "t_force", "t_momentum")
+
+
 def step_once(state: SimState, cfg: SimConfig, dt: float,
               info: dict | None = None) -> SimState:
-    """One coupled step of size dt from the given state."""
+    """One coupled step of size dt from the given state. If `info` is
+    given, it receives step_momentum's CG entries and the wall time in
+    seconds of each stage: `t_transport`, `t_director`, `t_force` and
+    `t_momentum`."""
+    info = {} if info is None else info
+    t0 = perf_counter()
     rho1 = advect_density(state.rho, state.u, dt, cfl_limit=cfg.cfl)
+    t1 = perf_counter()
     d1 = step_director(state.d, state.u, dt)
+    t2 = perf_counter()
     force = ericksen_stress(d1)
+    t3 = perf_counter()
     u1 = step_momentum(rho1, state.u, force, dt, cg_tol=cfg.cg_tol,
                        cg_max_iter=cfg.cg_max_iter, info=info)
+    info.update(t_transport=t1 - t0, t_director=t2 - t1, t_force=t3 - t2,
+                t_momentum=perf_counter() - t3)
     return SimState(rho=rho1, u=u1, d=d1, t=state.t + dt, step=state.step + 1)
+
+
+def _timed(timing: dict, key: str, fn, *args):
+    """fn(*args), adding its wall time to timing[key]."""
+    t0 = perf_counter()
+    out = fn(*args)
+    timing[key] += perf_counter() - t0
+    return out
 
 
 def _sample(state: SimState, cfg: SimConfig, mon: RunMonitors, dt: float
@@ -120,8 +143,8 @@ def _sample(state: SimState, cfg: SimConfig, mon: RunMonitors, dt: float
     ke = kinetic_energy(rho, u)
     n = diag.director_norms(d)
     gd2, hess = n.grad_l2_sq, n.hess_l2_sq
-    gu, gu_sq = component_derivatives(g, [u.u1.values, u.u2.values])
-    grad_u = integral(g, gu_sq)
+    ux, uy = derivative_arrays(g, np.stack([u.u1.values, u.u2.values]))
+    grad_u = integral(g, ux * ux + uy * uy)
     energy = ke + gd2
     drift_q2 = (abs(diag.density_deviation(rho, cfg.rho_bar) - mon.rho0_q2)
                 / max(mon.rho0_q2, 1e-12))
@@ -133,12 +156,10 @@ def _sample(state: SimState, cfg: SimConfig, mon: RunMonitors, dt: float
     prev = mon.prev
     if prev is not None and state.t > prev.t:
         span = state.t - prev.t
-        a1, a2 = acceleration_arrays(u, prev.u, span, gu)
+        a1, a2 = acceleration_arrays(u, prev.u, span, zip(ux, uy))
         rho_udot = integral(g, rho.values * (a1**2 + a2**2))
-        for c1, c0 in zip(d.components, prev.d.components):
-            dtc = (c1.values - c0.values) / span
-            gx, gy = derivative_arrays(g, dtc)
-            dt_h1 += integral(g, dtc * dtc + gx * gx + gy * gy)
+        dtd = (d.as_array() - prev.d.as_array()) / span
+        dt_h1 = integral(g, dtd * dtd) + parseval_derivatives(g, dtd)[0]
     phi = replace(mon.phi)
     phi.update(state.t, rho_udot + dt_h1 + (hess + n.third_l2_sq),
                grad_u + (gd2 + hess))
@@ -149,7 +170,7 @@ def _sample(state: SimState, cfg: SimConfig, mon: RunMonitors, dt: float
         rho_drift_q2=drift_q2, d3_min=diag.d3_min(d), unit_drift=udrift,
         serrin_accumulated=mon.serrin.accumulated,
         phi_value=math.e + phi.sup + phi.integral,
-        ke=ke, divu_res=math.sqrt(integral(g, (gu[0][0] + gu[1][1]) ** 2)),
+        ke=ke, divu_res=math.sqrt(integral(g, (ux[0] + uy[1]) ** 2)),
         tension_identity_residual=n.identity_residual)
 
     mon.phi = phi
@@ -213,7 +234,14 @@ def simulate(cfg: SimConfig, state: SimState | None = None,
     and monitors of an earlier segment resumes that run: accumulators carry
     over and the initial record is not re-emitted. summary.json is strict
     JSON: non-finite values are written as null.
+
+    summary["timing"] holds the wall time in seconds of this call up to the
+    end of stepping (`t_wall`, file writes excluded) and its sums per stage:
+    step_once's four stages, the Serrin update (`t_serrin`) and the
+    diagnostics samples (`t_sample`).
     """
+    start = perf_counter()
+    timing = dict.fromkeys(STEP_STAGES + ("t_serrin", "t_sample"), 0.0)
     if state is None:
         state = initial_state(cfg)
     resuming = monitors is not None
@@ -231,7 +259,8 @@ def simulate(cfg: SimConfig, state: SimState | None = None,
     eps = 1e-12 * max(1.0, abs(cfg.t_end))
     try:
         if not resuming:
-            records.append(_sample(state, cfg, monitors, cfg.dt or dt_ref))
+            records.append(_timed(timing, "t_sample", _sample, state, cfg,
+                                  monitors, cfg.dt or dt_ref))
         while state.t < cfg.t_end - eps:
             if cfg.dt is not None:
                 dt = cfg.dt
@@ -252,9 +281,12 @@ def simulate(cfg: SimConfig, state: SimState | None = None,
                                              info.get("cg_iterations", 0))
             monitors.max_cg_residual = max(monitors.max_cg_residual,
                                            info.get("cg_residual", 0.0))
-            monitors.serrin.update(state.d, dt)
+            for key in STEP_STAGES:
+                timing[key] += info[key]
+            _timed(timing, "t_serrin", monitors.serrin.update, state.d, dt)
             if state.step % cfg.cadence == 0 or state.t >= cfg.t_end - eps:
-                records.append(_sample(state, cfg, monitors, dt))
+                records.append(_timed(timing, "t_sample", _sample, state,
+                                      cfg, monitors, dt))
     except (CFLError, DegenerateDirectorError, ConvergenceError,
             NonFiniteError) as exc:
         failure = {"step": state.step, "cause": type(exc).__name__,
@@ -263,7 +295,9 @@ def simulate(cfg: SimConfig, state: SimState | None = None,
             monitors.max_cg_iterations = max(monitors.max_cg_iterations,
                                              exc.iterations)
 
+    timing["t_wall"] = perf_counter() - start
     summary = _summary(cfg, state, monitors, failure)
+    summary["timing"] = timing
     csv_path, snapshot_paths = None, []
     if write_files:
         csv_path = str(out / "diagnostics.csv")

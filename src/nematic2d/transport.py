@@ -44,36 +44,46 @@ def sample_bicubic(grid: Grid2D, values: np.ndarray, ix: np.ndarray,
     clamped to the min/max of the four surrounding nodes (monotone variant,
     no new extrema).
     """
+    # one periodic copy padded by the stencil's reach (1 before, 2 after),
+    # so that node (j0 - 1 + a, i0 - 1 + b) sits at flat index base + a*w + b.
+    # Each input is freed once its last use is done, since callers may pass
+    # temporaries.
     i0 = np.floor(ix)
     j0 = np.floor(iy)
     tx = ix - i0
     ty = iy - j0
-    wx = _cubic_weights(tx)
-    wy = _cubic_weights(ty)
-
-    # one periodic copy padded by the stencil's reach (1 before, 2 after),
-    # so that node (j0 - 1 + a, i0 - 1 + b) sits at flat index base + a*w + b
+    del ix, iy
     w = grid.nx + 3
-    pad = [(0, 0)] * (values.ndim - 2) + [(1, 2), (1, 2)]
-    flat = np.pad(values, pad, mode="wrap").reshape(values.shape[:-2] + (-1,))
     base = (j0.astype(np.int64) % grid.ny * w
             + i0.astype(np.int64) % grid.nx)
+    del i0, j0
+    wx = _cubic_weights(tx)
+    wy = _cubic_weights(ty)
+    del tx, ty
+    pad = [(0, 0)] * (values.ndim - 2) + [(1, 2), (1, 2)]
+    flat = np.pad(values, pad, mode="wrap").reshape(values.shape[:-2] + (-1,))
+    del values
 
+    # products are formed in place, in the gathered rows, so the loop holds
+    # no temporaries beyond them
     out = 0.0
-    corners = []  # the four nodes around each point, for the limiter
+    lo = hi = None  # running min/max of the four nodes around each point
     for a in range(4):
         row_acc = 0.0
         for b in range(4):
             v = np.take(flat, base + (a * w + b), axis=-1)
             if limit and a in (1, 2) and b in (1, 2):
-                corners.append(v)
-            row_acc += wx[b] * v
-        out += wy[a] * row_acc
+                if lo is None:
+                    lo, hi = v.copy(), v.copy()
+                else:
+                    np.minimum(lo, v, out=lo)
+                    np.maximum(hi, v, out=hi)
+            v *= wx[b]
+            row_acc += v
+        row_acc *= wy[a]
+        out += row_acc
 
     if limit:
-        c00, c01, c10, c11 = corners
-        lo = np.minimum(np.minimum(c00, c01), np.minimum(c10, c11))
-        hi = np.maximum(np.maximum(c00, c01), np.maximum(c10, c11))
         out = np.clip(out, lo, hi)
     return out
 
@@ -89,9 +99,9 @@ def foot_points(u: VectorField2D, dt: float) -> tuple[np.ndarray, np.ndarray]:
 
     # half step with the nodal velocity, then full step with the velocity
     # sampled at the midpoint
-    mx = I - 0.5 * dt * u.u1.values / g.dx
-    my = J - 0.5 * dt * u.u2.values / g.dy
-    u1m, u2m = sample_bicubic(g, np.stack([u.u1.values, u.u2.values]), mx, my)
+    u1m, u2m = sample_bicubic(g, np.stack([u.u1.values, u.u2.values]),
+                              I - 0.5 * dt * u.u1.values / g.dx,
+                              J - 0.5 * dt * u.u2.values / g.dy)
     return I - dt * u1m / g.dx, J - dt * u2m / g.dy
 
 
@@ -110,6 +120,5 @@ def advect_density(rho: ScalarField2D, u: VectorField2D, dt: float,
     nu = cfl_number(u, dt)
     if nu > cfl_limit:
         raise CFLError(f"CFL number {nu:.3g} exceeds limit {cfl_limit:.3g}")
-    fx, fy = foot_points(u, dt)
-    return ScalarField2D(rho.grid, sample_bicubic(rho.grid, rho.values,
-                                                  fx, fy, limit=True))
+    return ScalarField2D(rho.grid, sample_bicubic(
+        rho.grid, rho.values, *foot_points(u, dt), limit=True))

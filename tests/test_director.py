@@ -1,12 +1,14 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from nematic2d import (DegenerateDirectorError, DirectorField2D, Grid2D,
-                       VectorField2D, director_derivatives, director_grad_l2_sq,
-                       ericksen_stress, leray_project, renormalize,
-                       step_director, unit_drift)
+                       SimConfig, VectorField2D, director_derivatives,
+                       director_grad_l2_sq, ericksen_stress, leray_project,
+                       renormalize, simulate, step_director, unit_drift)
+from nematic2d.director import _BUNDLE
 from nematic2d.fields import derivative_arrays, integral
 
 from helpers import (circle_director, ericksen_tensor, fd_gradient,
@@ -100,6 +102,59 @@ class TestStepDirector:
                           grid).d
         with pytest.raises(DegenerateDirectorError):
             step_director(d, VectorField2D.zeros(grid), 0.01)
+
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """Counter of the rfft2/irfft2 calls made while the test runs."""
+    calls = Counter()
+    for name in ("rfft2", "irfft2"):
+        def counted(*args, _real=getattr(np.fft, name), **kwargs):
+            calls["fft"] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+class TestDerivativeBundle:
+    """A director's first derivatives are computed once and shared until
+    the director step that consumes it drops them."""
+
+    def test_stress_seeds_the_bundle(self, grid, transforms):
+        d = random_unit_director(grid, np.random.default_rng(5))
+        ericksen_stress(d)
+        before = transforms["fft"]
+        grads, gsq = director_derivatives(d)
+        assert transforms["fft"] == before
+        fresh_grads, fresh_gsq = director_derivatives(
+            DirectorField2D.from_arrays(grid, *d.as_array()))
+        assert transforms["fft"] == before + 9
+        assert np.array_equal(gsq, fresh_gsq)
+        for pair, fresh in zip(grads, fresh_grads):
+            assert len(pair) == len(fresh) == 2
+            for a, b in zip(pair, fresh):
+                assert np.array_equal(a, b)
+        assert director_derivatives(d)[1] is gsq
+
+    def test_step_drops_its_input_bundle(self, grid, transforms):
+        d = random_unit_director(grid, np.random.default_rng(6))
+        ericksen_stress(d)
+        before = transforms["fft"]
+        step_director(d, VectorField2D.zeros(grid), 1e-3)
+        assert transforms["fft"] == before + 6  # the implicit solve only
+        director_derivatives(d)
+        assert transforms["fft"] == before + 15
+
+    def test_a_run_keeps_only_the_newest_bundle(self):
+        common = dict(nx=32, ny=32, dt=1e-3, cadence=3,
+                      scenario="vacuum-bubble")
+        first = simulate(SimConfig(t_end=0.01, **common), write_files=False)
+        second = simulate(SimConfig(t_end=0.02, **common), state=first.state,
+                          monitors=first.monitors, write_files=False)
+        # the state the second segment stepped from gave its bundle up
+        assert _BUNDLE not in vars(first.state.d)
+        last = second.monitors.prev.d
+        assert set(vars(last)) <= {"d1", "d2", "d3", _BUNDLE}
 
 
 class TestRenormalize:

@@ -6,6 +6,7 @@ from nematic2d import (Grid2D, ScalarField2D, VectorField2D, divergence,
                        spectral_tail_fraction, vector_lp_norm,
                        velocity_from_stream)
 from nematic2d.fields import (TAIL_CUT, apply_multiplier, derivative_arrays,
+                              integral, parseval_derivatives,
                               solenoidal_arrays)
 
 from helpers import (band_limited_field, fft2_derivatives, fft2_multiplier,
@@ -244,6 +245,25 @@ class TestHalfSpectrum:
         assert w.shape == data.shape
         for a, b in zip(w, fft2_project(grid, data[0], data[1])[:2]):
             assert_matches(a, b)
+
+    @pytest.mark.parametrize("shape", [(24, 16, 2.0, 1.0), (32, 32, 1.0, 1.0)])
+    def test_parseval_derivatives_match_real_space(self, shape):
+        # white noise populates the Nyquist row and column, whose first
+        # derivatives derivative_arrays drops
+        g = Grid2D(*shape)
+        a = np.random.default_rng(47).standard_normal((2,) + g.shape)
+        ders = derivative_arrays(g, a, 3)
+        grad, lap, grad_lap = parseval_derivatives(g, a, 3)
+        assert grad == pytest.approx(
+            integral(g, ders[0] ** 2 + ders[1] ** 2), rel=1e-12, abs=0.0)
+        assert np.array_equal(lap, ders[2])
+        assert grad_lap == pytest.approx(
+            integral(g, ders[3] ** 2 + ders[4] ** 2), rel=1e-12, abs=0.0)
+        # one field alone, at order 1
+        gx, gy = derivative_arrays(g, a[1])
+        (one,) = parseval_derivatives(g, a[1])
+        assert one == pytest.approx(integral(g, gx * gx + gy * gy),
+                                    rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("shape", [(24, 16, 2.0, 1.0), (32, 32, 1.0, 1.0)])
     def test_spectral_tail_fraction_matches_oracle(self, shape):
