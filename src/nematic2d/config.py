@@ -44,8 +44,15 @@ class SimConfig:
             raise ValueError("t_end must be positive")
         if self.dt is not None and self.dt <= 0.0:
             raise ValueError("dt must be positive")
+        # `not x > 0` also rejects NaN
+        if not self.cfl > 0.0:
+            raise ValueError("cfl must be positive")
         if self.cadence < 1:
             raise ValueError("cadence must be at least 1")
+        if not self.cg_tol > 0.0:
+            raise ValueError("cg_tol must be positive")
+        if self.cg_max_iter < 1:
+            raise ValueError("cg_max_iter must be at least 1")
         n = math.sqrt(sum(c * c for c in self.e))
         if abs(n - 1.0) > 1e-9:
             raise ValueError("far-field director must be a unit vector")

@@ -1,11 +1,33 @@
 """Shared test utilities: random smooth fields and independent oracles."""
 
+from collections import Counter
+
 import numpy as np
 
 from nematic2d import (DirectorField2D, ScalarField2D, VectorField2D,
                        director_grad_l2_sq, director_norms, kinetic_energy,
                        velocity_from_stream, velocity_grad_l2_sq)
 from nematic2d.fields import apply_multiplier, derivative_arrays
+
+
+# every transform numpy.fft offers, so that a call routed through any of
+# them counts against a transform budget
+FFT_FUNCTIONS = ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft",
+                 "fft2", "ifft2", "rfft2", "irfft2",
+                 "fftn", "ifftn", "rfftn", "irfftn")
+
+
+def count_transforms(monkeypatch):
+    """Counter whose "fft" entry counts the numpy.fft calls made from now
+    until the monkeypatch is undone. numpy's 2-D transforms call the n-D
+    ones inside numpy.fft's own module, so each call counts once."""
+    calls = Counter()
+    for name in FFT_FUNCTIONS:
+        def counted(*args, _real=getattr(np.fft, name), **kwargs):
+            calls["fft"] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
 
 
 def band_limited_field(grid, rng, kmax=4, amplitude=1.0):

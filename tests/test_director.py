@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,9 +10,10 @@ from nematic2d import (DegenerateDirectorError, DirectorField2D, Grid2D,
 from nematic2d.director import _BUNDLE
 from nematic2d.fields import derivative_arrays, integral
 
-from helpers import (circle_director, ericksen_tensor, fd_gradient,
-                     fd_laplacian, random_unit_director, rotate_director,
-                     rotation_matrix, solenoidal_field, stress_divergence)
+from helpers import (circle_director, count_transforms, ericksen_tensor,
+                     fd_gradient, fd_laplacian, random_unit_director,
+                     rotate_director, rotation_matrix, solenoidal_field,
+                     stress_divergence)
 
 
 @pytest.fixture
@@ -106,14 +106,8 @@ class TestStepDirector:
 
 @pytest.fixture
 def transforms(monkeypatch):
-    """Counter of the rfft2/irfft2 calls made while the test runs."""
-    calls = Counter()
-    for name in ("rfft2", "irfft2"):
-        def counted(*args, _real=getattr(np.fft, name), **kwargs):
-            calls["fft"] += 1
-            return _real(*args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
-    return calls
+    """Counter of the numpy.fft calls made while the test runs."""
+    return count_transforms(monkeypatch)
 
 
 class TestDerivativeBundle:

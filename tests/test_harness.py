@@ -1,9 +1,10 @@
 import ast
+import ctypes
 import importlib
 import json
 import math
+import platform
 import warnings
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,10 @@ from nematic2d import (Grid2D, RunMonitors, ScalarField2D, SimConfig,
                        write_snapshot)
 from nematic2d.cli import main as cli_main
 from nematic2d.io import CSV_COLUMNS
-from nematic2d.simulation import STEP_STAGES, _sample, energy_slack
+from nematic2d.simulation import (STEP_STAGES, _sample, energy_slack,
+                                  keep_heap_pages)
+
+from helpers import count_transforms
 
 
 class TestConfigFile:
@@ -77,6 +81,16 @@ out_dir = runs/demo
     def test_rejects_inadmissible_serrin(self):
         with pytest.raises(ValueError):
             SimConfig(serrin_r=2.5, serrin_s=4.0)
+
+    @pytest.mark.parametrize("key, value", [
+        ("cfl", 0.0), ("cfl", -0.5), ("cfl", math.nan),
+        ("cg_tol", 0.0), ("cg_tol", -1e-10), ("cg_tol", math.nan),
+        ("cg_max_iter", 0), ("cg_max_iter", -1)])
+    def test_rejects_out_of_range_solver_settings(self, key, value):
+        # a cfl <= 0 used to surface from advect_density as an uncaught
+        # ValueError, and cg_tol <= 0 spent the whole CG budget
+        with pytest.raises(ValueError, match=key):
+            SimConfig(**{key: value})
 
 
 class TestCsv:
@@ -493,7 +507,7 @@ class TestDemos:
 
 
 class TestTransformBudget:
-    """rfft2/irfft2 calls per stage at 32^2, as upper bounds (measured
+    """numpy.fft calls per stage at 32^2, as upper bounds (measured
     equal): a change that adds a transform to a stage shows here. Each
     director is transformed once: RunMonitors.fresh (or the scenario) and
     then ericksen_stress seed its derivative bundle, which the Serrin
@@ -503,12 +517,7 @@ class TestTransformBudget:
                              ["angle-condition", "vacuum-bubble",
                               "small-director"])
     def test_transforms_per_stage(self, scenario, monkeypatch):
-        calls = Counter()
-        for name in ("rfft2", "irfft2"):
-            def counted(*args, _real=getattr(np.fft, name), **kwargs):
-                calls["fft"] += 1
-                return _real(*args, **kwargs)
-            monkeypatch.setattr(np.fft, name, counted)
+        calls = count_transforms(monkeypatch)
 
         def cost(fn, *args):
             before = calls["fft"]
@@ -543,6 +552,9 @@ class TestStageTiming:
                 <= timing["t_wall"])
         written = json.loads((tmp_path / "summary.json").read_text())
         assert written["timing"] == timing
+        faults = res.summary["minor_page_faults"]
+        assert isinstance(faults, int) and faults >= 0
+        assert written["minor_page_faults"] == faults
         assert len(read_csv(res.csv_path)) == len(CSV_COLUMNS) == 15
 
     def test_step_once_reports_its_stages(self):
@@ -551,6 +563,37 @@ class TestStageTiming:
         step_once(initial_state(cfg), cfg, cfg.dt, info)
         assert all(info[k] > 0.0 for k in STEP_STAGES)
         assert info["cg_iterations"] >= 1
+
+
+class TestHeapPolicy:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the heap policy is set on glibc only")
+    def test_warm_run_takes_almost_no_page_faults(self):
+        # the first run grows the heap to the run's peak, and the policy
+        # keeps those pages for the second (measured 0 faults per step;
+        # 1,670 with glibc's default thresholds)
+        assert keep_heap_pages()
+        cfg = SimConfig(nx=128, ny=128, dt=1e-3, t_end=1e-2,
+                        scenario="small-director")
+        simulate(cfg, write_files=False)
+        summary = simulate(cfg, write_files=False).summary
+        assert summary["steps"] == 10
+        assert summary["minor_page_faults"] < 50 * summary["steps"]
+
+    def test_does_nothing_off_glibc(self, monkeypatch):
+        def no_library(*args, **kwargs):
+            raise AssertionError("no C library is loaded off glibc")
+        monkeypatch.setattr(platform, "libc_ver", lambda *a, **k: ("", ""))
+        monkeypatch.setattr(ctypes, "CDLL", no_library)
+        keep_heap_pages.cache_clear()
+        try:
+            assert keep_heap_pages() is False
+            cfg = SimConfig(nx=16, ny=16, dt=1e-3, t_end=3e-3,
+                            scenario="small-director")
+            assert simulate(cfg, write_files=False).summary["status"] == (
+                "completed")
+        finally:
+            keep_heap_pages.cache_clear()
 
 
 class TestSpectralLayout:
