@@ -38,25 +38,22 @@ class SimConfig:
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
-        if self.rho_bar <= 0.0:
-            raise ValueError("rho_bar must be positive")
-        if self.t_end <= 0.0:
-            raise ValueError("t_end must be positive")
-        if self.dt is not None and self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        # `not x > 0` also rejects NaN
-        if not self.cfl > 0.0:
-            raise ValueError("cfl must be positive")
-        if self.cadence < 1:
-            raise ValueError("cadence must be at least 1")
-        if not self.cg_tol > 0.0:
-            raise ValueError("cg_tol must be positive")
-        if self.cg_max_iter < 1:
-            raise ValueError("cg_max_iter must be at least 1")
+        # the comparisons are written so that NaN fails them
+        finite = ("t_end", "rho_bar") + (() if self.dt is None else ("dt",))
+        for name in finite:
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        for name in ("cfl", "cg_tol"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("cadence", "cg_max_iter"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be at least 1")
         n = math.sqrt(sum(c * c for c in self.e))
         if abs(n - 1.0) > 1e-9:
             raise ValueError("far-field director must be a unit vector")
         self.e = tuple(c / n for c in self.e)
+        self.grid()  # validates the grid sizes and box
         self.serrin_exponents()  # validates (r, s)
 
     def grid(self) -> Grid2D:

@@ -16,8 +16,8 @@ import numpy as np
 
 from .director import director_derivatives
 from .fields import (DirectorField2D, NonFiniteError, ScalarField2D,
-                     VectorField2D, component_derivatives, integral,
-                     lp_norm_array, parseval_derivatives)
+                     VectorField2D, integral, lp_norm_array,
+                     parseval_derivatives)
 from .momentum import kinetic_energy
 
 SMALL_DATA_BOUND = 1.0 / 16.0  # the paper's small-data constant
@@ -87,8 +87,7 @@ def director_grad_l2_sq(d: DirectorField2D) -> float:
 
 
 def velocity_grad_l2_sq(u: VectorField2D) -> float:
-    return integral(u.grid, component_derivatives(
-        u.grid, [u.u1.values, u.u2.values])[1])
+    return parseval_derivatives(u.grid, u.as_array())[0]
 
 
 def d3_min(d: DirectorField2D) -> float:

@@ -36,7 +36,8 @@ class Grid2D:
 
     def __post_init__(self) -> None:
         if self.nx < 8 or self.ny < 8 or self.nx % 2 or self.ny % 2:
-            raise ValueError("grid sizes must be even and at least 8")
+            raise ValueError(f"grid sizes must be even and at least 8, got "
+                             f"nx={self.nx}, ny={self.ny}")
         if not (self.lx > 0.0 and self.ly > 0.0):
             raise ValueError("box side lengths must be positive")
 
@@ -143,6 +144,10 @@ class VectorField2D:
     def grid(self) -> Grid2D:
         return self.u1.grid
 
+    def as_array(self) -> np.ndarray:
+        """Stacked copy of shape (2, ny, nx)."""
+        return np.stack([self.u1.values, self.u2.values])
+
     @classmethod
     def from_arrays(cls, grid: Grid2D, a1, a2) -> "VectorField2D":
         return cls(ScalarField2D(grid, a1), ScalarField2D(grid, a2))
@@ -200,8 +205,8 @@ def integral(grid: Grid2D, values: np.ndarray) -> float:
 
 def derivative_arrays(grid: Grid2D, a: np.ndarray,
                       order: int = 1) -> list[np.ndarray]:
-    """[dx a, dy a] at order 1, then lap a at order 2 and [dx lap a,
-    dy lap a] at order 3, all from one forward transform of a.
+    """[dx a, dy a] at order 1, then lap a at order 2, all from one forward
+    transform of a.
 
     a has shape (..., ny, nx); leading axes stack fields that are
     transformed together, and every output has the shape of a.
@@ -211,22 +216,16 @@ def derivative_arrays(grid: Grid2D, a: np.ndarray,
     out = [np.fft.irfft2(1j * grid.kx * h, s=s),
            np.fft.irfft2(1j * grid.ky * h, s=s)]
     if order >= 2:
-        h = -grid.k2 * h
-        out.append(np.fft.irfft2(h, s=s))
-    if order >= 3:
-        out += [np.fft.irfft2(1j * grid.kx * h, s=s),
-                np.fft.irfft2(1j * grid.ky * h, s=s)]
+        out.append(np.fft.irfft2(-grid.k2 * h, s=s))
     return out
 
 
 def parseval_derivatives(grid: Grid2D, a: np.ndarray,
                          order: int = 1) -> list:
-    """derivative_arrays with each gradient pair [dx, dy] replaced by its
-    integral int (dx^2 + dy^2), summed over the leading axes of a and
-    computed by Parseval's identity on the half spectrum:
-    [int |grad a|^2] at order 1, then lap a at order 2 and
-    int |grad lap a|^2 at order 3. One forward transform of a, and one
-    inverse for lap a from order 2 on.
+    """Gradient integrals by Parseval's identity on the half spectrum,
+    summed over the leading axes of a: [int |grad a|^2] at order 1, then
+    lap a at order 2 and int |grad lap a|^2 at order 3. One forward
+    transform of a, and one inverse for lap a from order 2 on.
     """
     h = np.fft.rfft2(a)
     out = [_gradient_integral(grid, h)]
@@ -242,13 +241,6 @@ def _gradient_integral(grid: Grid2D, h: np.ndarray) -> float:
     """int |grad f|^2, summed over leading axes, from the half spectrum h
     of f."""
     return float(np.vdot(h, grid.gradient_weight * h).real)
-
-
-def component_derivatives(grid: Grid2D, comps, order: int = 1):
-    """derivative_arrays of each component, and the pointwise sum of
-    |grad c|^2 over the components."""
-    out = [derivative_arrays(grid, c, order) for c in comps]
-    return out, sum(x[0] * x[0] + x[1] * x[1] for x in out)
 
 
 def apply_multiplier(grid: Grid2D, a: np.ndarray, m) -> np.ndarray:
@@ -320,8 +312,9 @@ def laplacian(f: ScalarField2D) -> ScalarField2D:
 
 def divergence(v: VectorField2D) -> ScalarField2D:
     g = v.grid
-    return ScalarField2D(g, apply_multiplier(g, v.u1.values, 1j * g.kx)
-                         + apply_multiplier(g, v.u2.values, 1j * g.ky))
+    h = np.fft.rfft2(v.as_array())
+    return ScalarField2D(g, np.fft.irfft2(1j * (g.kx * h[0] + g.ky * h[1]),
+                                          s=g.shape))
 
 
 def velocity_from_stream(psi: ScalarField2D) -> VectorField2D:
@@ -338,7 +331,7 @@ def leray_project(v: VectorField2D) -> tuple[VectorField2D, ScalarField2D]:
     through unchanged and phi has zero mean.
     """
     g = v.grid
-    h, coeff = _leray_spectrum(g, np.stack([v.u1.values, v.u2.values]))
+    h, coeff = _leray_spectrum(g, v.as_array())
     w = np.fft.irfft2(h, s=g.shape)
     return (VectorField2D.from_arrays(g, w[0], w[1]),
             ScalarField2D(g, np.fft.irfft2(-1j * coeff, s=g.shape)))

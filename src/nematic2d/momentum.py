@@ -106,7 +106,7 @@ def _right_side(rv, u, force, dt):
     """rho u/dt - rho (u . grad u) - f + lap(u)/2 as a stacked (2, ny, nx)
     array; the derivative arrays are freed before the solve starts, and
     each as soon as it is used."""
-    vel = np.stack([u.u1.values, u.u2.values])
+    vel = u.as_array()
     dx, dy, lap = derivative_arrays(u.grid, vel, 2)
     adv = vel[0] * dx
     del dx
@@ -172,10 +172,10 @@ def material_derivative(u_new: VectorField2D, u_old: VectorField2D,
                         dt: float) -> VectorField2D:
     """Acceleration along particle paths: (u_new - u_old)/dt
     + u_new . grad(u_new)."""
-    grads = [derivative_arrays(u_new.grid, c.values)
-             for c in (u_new.u1, u_new.u2)]
+    g = u_new.grid
+    ux, uy = derivative_arrays(g, u_new.as_array())
     return VectorField2D.from_arrays(
-        u_new.grid, *acceleration_arrays(u_new, u_old, dt, grads))
+        g, *acceleration_arrays(u_new, u_old, dt, zip(ux, uy)))
 
 
 def acceleration_arrays(u_new: VectorField2D, u_old: VectorField2D, dt: float,

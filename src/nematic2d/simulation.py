@@ -200,7 +200,7 @@ def _sample(state: SimState, cfg: SimConfig, mon: RunMonitors, dt: float
     ke = kinetic_energy(rho, u)
     n = diag.director_norms(d)
     gd2, hess = n.grad_l2_sq, n.hess_l2_sq
-    ux, uy = derivative_arrays(g, np.stack([u.u1.values, u.u2.values]))
+    ux, uy = derivative_arrays(g, u.as_array())
     grad_u = integral(g, ux * ux + uy * uy)
     energy = ke + gd2
     drift_q2 = (abs(diag.density_deviation(rho, cfg.rho_bar) - mon.rho0_q2)

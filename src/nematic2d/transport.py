@@ -99,7 +99,7 @@ def foot_points(u: VectorField2D, dt: float) -> tuple[np.ndarray, np.ndarray]:
 
     # half step with the nodal velocity, then full step with the velocity
     # sampled at the midpoint
-    u1m, u2m = sample_bicubic(g, np.stack([u.u1.values, u.u2.values]),
+    u1m, u2m = sample_bicubic(g, u.as_array(),
                               I - 0.5 * dt * u.u1.values / g.dx,
                               J - 0.5 * dt * u.u2.values / g.dy)
     return I - dt * u1m / g.dx, J - dt * u2m / g.dy

@@ -145,14 +145,11 @@ def fft2_multiplier(a, m):
 
 
 def fft2_derivatives(grid, a, order):
-    """[dx a, dy a], lap a and [dx lap a, dy lap a] up to the given order."""
+    """[dx a, dy a], then lap a at order 2."""
     kx, ky, k2 = full_wavenumbers(grid)
     out = [fft2_multiplier(a, 1j * kx), fft2_multiplier(a, 1j * ky)]
     if order >= 2:
         out.append(fft2_multiplier(a, -k2))
-    if order >= 3:
-        out += [fft2_multiplier(a, -1j * kx * k2),
-                fft2_multiplier(a, -1j * ky * k2)]
     return out
 
 
