@@ -38,8 +38,9 @@ class Grid2D:
         if self.nx < 8 or self.ny < 8 or self.nx % 2 or self.ny % 2:
             raise ValueError(f"grid sizes must be even and at least 8, got "
                              f"nx={self.nx}, ny={self.ny}")
-        if not (self.lx > 0.0 and self.ly > 0.0):
-            raise ValueError("box side lengths must be positive")
+        if not (0.0 < self.lx < np.inf and 0.0 < self.ly < np.inf):
+            raise ValueError(f"box side lengths must be positive and "
+                             f"finite, got lx={self.lx}, ly={self.ly}")
 
     @property
     def dx(self) -> float:

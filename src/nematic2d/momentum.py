@@ -102,22 +102,43 @@ def _pcg(apply_m, apply_minv, shift, b, tol, max_iter):
         last = residual
 
 
+# attribute under which a VectorField2D keeps its advection terms
+_TERMS = "_advection_terms"
+
+
+def velocity_terms(u: VectorField2D) -> tuple[np.ndarray, np.ndarray]:
+    """(u . grad)u and lap(u) as stacked (2, ny, nx) arrays, from one
+    order-2 derivative pass of u.
+
+    The pair is memoized on u, like a director's derivative bundle: a
+    VectorField2D is frozen and its values are read-only, so the pair
+    cannot go stale. In a step, the density transport's foot points seed
+    it and step_momentum, its last reader, drops it before the solve. A
+    caller must not write into the arrays.
+    """
+    terms = vars(u).get(_TERMS)
+    if terms is None:
+        vel = u.as_array()
+        dx, dy, lap = derivative_arrays(u.grid, vel, 2)
+        adv = vel[0] * dx
+        del dx
+        adv += vel[1] * dy
+        terms = (adv, lap)
+        object.__setattr__(u, _TERMS, terms)
+    return terms
+
+
 def _right_side(rv, u, force, dt):
     """rho u/dt - rho (u . grad u) - f + lap(u)/2 as a stacked (2, ny, nx)
-    array; the derivative arrays are freed before the solve starts, and
-    each as soon as it is used."""
-    vel = u.as_array()
-    dx, dy, lap = derivative_arrays(u.grid, vel, 2)
-    adv = vel[0] * dx
-    del dx
-    adv += vel[1] * dy
-    del dy
-    adv *= rv
-    b = (rv / dt) * vel
-    b -= adv
+    array. The velocity terms are dropped from u, so the solve starts
+    without them, and each array is freed as soon as it is used."""
+    adv, lap = velocity_terms(u)
+    vars(u).pop(_TERMS, None)
+    b = (rv / dt) * u.as_array()
+    b -= rv * adv
     del adv
-    lap *= 0.5
-    b += lap
+    b += 0.5 * lap
+    del lap
     b[0] -= force.u1.values
     b[1] -= force.u2.values
     return b
@@ -133,6 +154,10 @@ def step_momentum(rho: ScalarField2D, u: VectorField2D, force: VectorField2D,
     If `info` is given, it receives the CG iteration count
     (`cg_iterations`) and the true relative residual at exit
     (`cg_residual`).
+
+    (u . grad)u and lap(u) come from velocity_terms(u): read from u when
+    the density transport of the same step seeded them, computed here
+    otherwise, and dropped from u before the solve either way.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")

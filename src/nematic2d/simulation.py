@@ -167,7 +167,9 @@ def step_once(state: SimState, cfg: SimConfig, dt: float,
     """One coupled step of size dt from the given state. If `info` is
     given, it receives step_momentum's CG entries and the wall time in
     seconds of each stage: `t_transport`, `t_director`, `t_force` and
-    `t_momentum`."""
+    `t_momentum`. `t_transport` includes the velocity's derivative pass
+    (momentum.velocity_terms), which the foot points take first and the
+    momentum step reads after them."""
     info = {} if info is None else info
     t0 = perf_counter()
     rho1 = advect_density(state.rho, state.u, dt, cfl_limit=cfg.cfl)

@@ -1,7 +1,9 @@
 """Semi-Lagrangian density transport under a divergence-free velocity.
 
-Characteristics are traced backward with a second-order midpoint locator and
-the density is read at the foot points with a monotonicity-limited bicubic
+Characteristics are traced backward to the second-order Taylor departure
+point x - dt (u - (dt/2) (u . grad)u) (Staniforth & Cote, Mon. Wea. Rev.
+119, 1991), whose (u . grad)u the momentum step reads as well, and the
+density is read at the foot points with a monotonicity-limited bicubic
 interpolant, so the update obeys a discrete maximum principle exactly: every
 output value lies in [min(input), max(input)].
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import Grid2D, ScalarField2D, VectorField2D
+from .momentum import velocity_terms
 
 
 class CFLError(RuntimeError):
@@ -89,20 +92,18 @@ def sample_bicubic(grid: Grid2D, values: np.ndarray, ix: np.ndarray,
 
 
 def foot_points(u: VectorField2D, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Backward characteristic feet in fractional index coordinates,
-    midpoint rule (second order)."""
-    g = u.grid
-    I = np.arange(g.nx)[None, :].astype(float)
-    J = np.arange(g.ny)[:, None].astype(float)
-    I = np.broadcast_to(I, g.shape)
-    J = np.broadcast_to(J, g.shape)
+    """Backward characteristic feet in fractional index coordinates, by the
+    second-order Taylor departure point x - dt (u - (dt/2) (u . grad)u).
 
-    # half step with the nodal velocity, then full step with the velocity
-    # sampled at the midpoint
-    u1m, u2m = sample_bicubic(g, u.as_array(),
-                              I - 0.5 * dt * u.u1.values / g.dx,
-                              J - 0.5 * dt * u.u2.values / g.dy)
-    return I - dt * u1m / g.dx, J - dt * u2m / g.dy
+    (u . grad)u comes from momentum.velocity_terms, so this call seeds the
+    pair that the momentum step of the same step reads.
+    """
+    g = u.grid
+    adv, _ = velocity_terms(u)
+    I = np.arange(g.nx, dtype=float)[None, :]
+    J = np.arange(g.ny, dtype=float)[:, None]
+    return (I - (dt / g.dx) * (u.u1.values - (0.5 * dt) * adv[0]),
+            J - (dt / g.dy) * (u.u2.values - (0.5 * dt) * adv[1]))
 
 
 def advect_density(rho: ScalarField2D, u: VectorField2D, dt: float,

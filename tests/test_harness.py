@@ -89,12 +89,15 @@ out_dir = runs/demo
         ("t_end", math.nan), ("t_end", math.inf), ("t_end", 0.0),
         ("rho_bar", math.nan), ("rho_bar", math.inf), ("rho_bar", -1.0),
         ("dt", math.nan), ("dt", math.inf), ("dt", 0.0),
-        ("nx", 0), ("nx", 7), ("ny", 6)])
+        ("nx", 0), ("nx", 7), ("ny", 6),
+        ("lx", math.inf), ("ly", math.inf), ("lx", math.nan),
+        ("ly", 0.0)])
     def test_rejects_out_of_range_solver_settings(self, key, value):
         # a cfl <= 0 used to surface from advect_density as an uncaught
         # ValueError, and cg_tol <= 0 spent the whole CG budget; a NaN or
         # infinite t_end completed after 0 steps, a non-finite rho_bar
-        # raised out of simulate, and a bad grid size failed only there
+        # raised out of simulate, and a bad grid size or an infinite box
+        # side failed only there
         with pytest.raises(ValueError, match=key):
             SimConfig(**{key: value})
 

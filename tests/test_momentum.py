@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 import nematic2d.momentum
-from nematic2d import (ConvergenceError, Grid2D, ScalarField2D, VectorField2D,
-                       divergence, kinetic_energy, lp_norm,
-                       material_derivative, step_momentum, vector_lp_norm,
-                       velocity_from_stream)
+import nematic2d.transport
+from nematic2d import (ConvergenceError, Grid2D, ScalarField2D, SimConfig,
+                       VectorField2D, advect_density, divergence,
+                       initial_state, kinetic_energy, lp_norm,
+                       material_derivative, step_momentum, step_once,
+                       vector_lp_norm, velocity_from_stream)
 from nematic2d.diagnostics import velocity_grad_l2_sq
 from nematic2d.fields import apply_multiplier
+from nematic2d.momentum import _TERMS, velocity_terms
 
 from helpers import (band_limited_field, count_transforms, momentum_system,
                      reference_pcg)
@@ -231,6 +234,54 @@ class TestCgSolve:
             nematic2d.momentum._pcg(apply_m, apply_minv, shift, b, 1e-10,
                                     iters - 1)
         assert exc.value.iterations == iters - 1
+
+
+class TestVelocityTerms:
+    """A step takes the velocity's derivatives once: the transport's foot
+    points seed (u . grad)u and lap(u) on the velocity, and the momentum
+    step reads them and drops them before its solve."""
+
+    def test_step_once_gathers_once(self, monkeypatch):
+        gathers = []
+        real = nematic2d.transport.sample_bicubic
+
+        def spy(*args, **kwargs):
+            gathers.append(kwargs.get("limit", False))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(nematic2d.transport, "sample_bicubic", spy)
+        cfg = SimConfig(nx=32, ny=32, dt=1e-3, scenario="vacuum-bubble")
+        step_once(initial_state(cfg), cfg, cfg.dt)
+        assert gathers == [True]  # the limited density read alone
+
+    def test_transport_seeds_and_the_momentum_step_drops(self, monkeypatch):
+        cfg = SimConfig(nx=32, ny=32, dt=1e-3, scenario="vacuum-bubble")
+        state = initial_state(cfg)
+        u = state.u
+        advect_density(state.rho, u, cfg.dt)
+        assert _TERMS in vars(u)
+        calls = count_transforms(monkeypatch)
+        terms = velocity_terms(u)
+        assert calls["fft"] == 0
+        assert terms is velocity_terms(u)
+        new = step_once(state, cfg, cfg.dt)
+        assert _TERMS not in vars(u)
+        assert _TERMS not in vars(new.u)
+
+    def test_seeded_and_fresh_steps_are_bitwise_equal(self, grid,
+                                                      monkeypatch):
+        rho, force = vacuum_disk_density(grid), random_force(grid, 2.0)
+        u = small_vortex(grid, 0.3)
+        copy = VectorField2D.from_arrays(grid, *u.as_array())
+        velocity_terms(u)
+        calls = count_transforms(monkeypatch)
+        seeded = step_momentum(rho, u, force, 1e-3)
+        n_seeded = calls["fft"]
+        fresh = step_momentum(rho, copy, force, 1e-3)
+        # the fresh step adds the order-2 pass: one forward, three inverse
+        assert calls["fft"] - n_seeded == n_seeded + 4
+        assert np.array_equal(seeded.as_array(), fresh.as_array())
+        assert _TERMS not in vars(u) and _TERMS not in vars(copy)
 
 
 class TestKineticEnergy:

@@ -3,7 +3,7 @@ import pytest
 
 from nematic2d import (CFLError, Grid2D, ScalarField2D, VectorField2D,
                        advect_density, cfl_number, density_deviation)
-from nematic2d.transport import sample_bicubic
+from nematic2d.transport import foot_points, sample_bicubic
 
 from helpers import solenoidal_field
 
@@ -96,7 +96,7 @@ class TestAdvectDensity:
         for dt in (2e-3, 1e-3):
             back = advect_density(advect_density(rho0, u, dt), um, dt)
             errs.append(np.abs(back.values - rho0.values).max())
-        assert errs[0] < 8e-6   # measured 3.9e-6
+        assert errs[0] < 8e-6   # measured 4.7e-6
         assert errs[1] < errs[0]
 
     def test_rejects_nonpositive_dt(self):
@@ -111,6 +111,41 @@ class TestAdvectDensity:
         with pytest.raises(CFLError):
             advect_density(gaussian_bump(g), u, 0.01)
 
+
+class TestFootPoints:
+    """Feet against characteristics integrated by RK4. Uniform translation
+    and shear have (u . grad)u = 0, where any second-order locator is
+    exact; the cellular flow does not."""
+
+    @staticmethod
+    def cellular(x, y):
+        return np.sin(x) * np.cos(y), -np.cos(x) * np.sin(y)
+
+    def rk4_feet(self, X, Y, dt, substeps=64):
+        h = -dt / substeps
+        for _ in range(substeps):
+            k1 = self.cellular(X, Y)
+            k2 = self.cellular(X + 0.5 * h * k1[0], Y + 0.5 * h * k1[1])
+            k3 = self.cellular(X + 0.5 * h * k2[0], Y + 0.5 * h * k2[1])
+            k4 = self.cellular(X + h * k3[0], Y + h * k3[1])
+            X = X + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+            Y = Y + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        return X, Y
+
+    def test_cellular_flow_against_rk4_characteristics(self):
+        errs = {}
+        for n in (64, 128):
+            g = Grid2D(n, n, 2 * np.pi, 2 * np.pi)
+            X, Y = g.meshgrid()
+            u = VectorField2D.from_arrays(g, *self.cellular(X, Y))
+            dt = 0.9 * g.dx  # CFL 0.9: max |u| = 1
+            assert cfl_number(u, dt) == pytest.approx(0.9, rel=1e-12)
+            ix, iy = foot_points(u, dt)
+            ex, ey = self.rk4_feet(X, Y, dt)
+            errs[n] = max(np.abs(ix - ex / g.dx).max(),
+                          np.abs(iy - ey / g.dy).max())  # in cells
+        assert errs[64] < 2.5e-3  # measured 1.17e-3
+        assert errs[128] < errs[64] / 3.5  # second order: measured 4.0x
 
 
 class TestSampleBicubic:
