@@ -204,16 +204,19 @@ def integral(grid: Grid2D, values: np.ndarray) -> float:
     return float(values.sum() * grid.cell_area)
 
 
-def derivative_arrays(grid: Grid2D, a: np.ndarray,
-                      order: int = 1) -> list[np.ndarray]:
+def derivative_arrays(grid: Grid2D, a: np.ndarray | None, order: int = 1,
+                      spectrum: np.ndarray | None = None) -> list[np.ndarray]:
     """[dx a, dy a] at order 1, then lap a at order 2, all from one forward
     transform of a.
 
     a has shape (..., ny, nx); leading axes stack fields that are
-    transformed together, and every output has the shape of a.
+    transformed together, and every output has the shape of a. Given
+    `spectrum`, a half spectrum whose inverse transform is a (such as the
+    one solenoidal_arrays returns), the outputs take inverse transforms
+    only and a is not read.
     """
     s = grid.shape
-    h = np.fft.rfft2(a)
+    h = np.fft.rfft2(a) if spectrum is None else spectrum
     out = [np.fft.irfft2(1j * grid.kx * h, s=s),
            np.fft.irfft2(1j * grid.ky * h, s=s)]
     if order >= 2:
@@ -271,10 +274,13 @@ def lp_norm_array(grid: Grid2D, values: np.ndarray, p: float) -> float:
     return float(((a**p).sum() * grid.cell_area) ** (1.0 / p))
 
 
-def _leray_spectrum(grid: Grid2D, a: np.ndarray):
+def _leray_spectrum(grid: Grid2D, a: np.ndarray, m=None):
     """Transform of the divergence-free part of stacked a (2, ny, nx), and
-    the coefficient c = (k . a_hat)/|k|^2 with grad(phi)_hat = k c."""
+    the coefficient c = (k . a_hat)/|k|^2 with grad(phi)_hat = k c. A
+    multiplier m, laid out as in apply_multiplier, acts on a first."""
     h = np.fft.rfft2(a)
+    if m is not None:
+        h *= m
     kx, ky = grid.kx, grid.ky
     ksq = kx**2 + ky**2
     safe = np.where(ksq == 0.0, 1.0, ksq)
@@ -284,10 +290,15 @@ def _leray_spectrum(grid: Grid2D, a: np.ndarray):
     return h, coeff
 
 
-def solenoidal_arrays(grid: Grid2D, a: np.ndarray) -> np.ndarray:
+def solenoidal_arrays(grid: Grid2D, a: np.ndarray, m=None
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """Divergence-free part w of stacked a (2, ny, nx) = w + grad(phi), as
-    in leray_project; phi is not formed."""
-    return np.fft.irfft2(_leray_spectrum(grid, a)[0], s=grid.shape)
+    in leray_project, and the half spectrum that w is the inverse transform
+    of; phi is not formed. With a multiplier m, laid out as in
+    apply_multiplier, w is the divergence-free part of m applied to a, from
+    the same one forward and one inverse transform."""
+    h = _leray_spectrum(grid, a, m)[0]
+    return np.fft.irfft2(h, s=grid.shape), h
 
 
 # ---------------------------------------------------------------------------

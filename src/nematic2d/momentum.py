@@ -4,24 +4,32 @@ One step solves the variable-coefficient viscous system
 
     rho (u* - u)/dt = (lap(u*) + lap(u))/2 - rho (u . grad u) - f
 
-by preconditioned conjugate gradients and then projects u* onto
-divergence-free fields. The pressure is the projection potential; no
-diagnostic reads it, so it is neither kept nor transformed back. The
-operator rho/dt - lap/2 stays uniformly elliptic as rho -> 0, so vacuum
-regions need no density floor. Viscosity and director mobility are fixed
-at 1.
+and projects u* onto divergence-free fields. The pressure is the projection
+potential; no diagnostic reads it, so it is neither kept nor transformed
+back. The operator rho/dt - lap/2 stays uniformly elliptic as rho -> 0, so
+vacuum regions need no density floor. Viscosity and director mobility are
+fixed at 1.
 
 The operator splits as A = M + (rho - mean(rho))/dt with the
-constant-coefficient M = mean(rho)/dt - lap/2, which the preconditioner
-inverts spectrally and exactly. So M z = r holds for every preconditioned
-residual, M p is carried by the recurrence M p_k = r_k + beta M p_(k-1)
-(Eisenstat, SIAM J. Sci. Stat. Comput. 2, 1981), and A p needs no
-transform: an iteration costs one forward and one inverse transform of the
-stacked (2, ny, nx) residual. Because the recurrence can drift, the true
-residual b - A x is formed once the recursive one meets the tolerance, and
-CG restarts from it if it misses. A restart whose true residual is not
-below the previous restart's cannot help (rounding floors the residual), so
-the solve then fails at once instead of spending the iteration cap.
+constant-coefficient M = mean(rho)/dt - lap/2, which is inverted spectrally
+and exactly. When rho is constant, A = M: the solve is M's inverse, which
+joins the projection in one forward and one inverse transform of the right
+side, with no conjugate gradients and no residual check. Otherwise
+preconditioned conjugate gradients solve A u* = b. M z = r holds for every
+preconditioned residual, M p is carried by the recurrence
+M p_k = r_k + beta M p_(k-1) (Eisenstat, SIAM J. Sci. Stat. Comput. 2,
+1981), and A p needs no transform: an iteration costs one forward and one
+inverse transform of the stacked (2, ny, nx) residual. Because the
+recurrence can drift, the true residual b - A x is formed once the
+recursive one meets the tolerance, and CG restarts from it if it misses. A
+restart whose true residual is not below the previous restart's cannot help
+(rounding floors the residual), so the solve then fails at once instead of
+spending the iteration cap. The projection takes one more transform pair.
+
+Either way the new velocity is born in spectral space, and step_momentum
+keeps its half spectrum on the returned field: the diagnostics sample reads
+it for grad(u), and the next step's velocity_terms reads and drops it, so
+neither transforms the new velocity forward again.
 """
 
 from __future__ import annotations
@@ -32,6 +40,11 @@ import numpy as np
 
 from .fields import (ScalarField2D, VectorField2D, apply_multiplier,
                      derivative_arrays, integral, solenoidal_arrays)
+
+# attributes under which a VectorField2D keeps, in a run: the half spectrum
+# step_momentum made it from, and then its advection terms
+_SPECTRUM = "_half_spectrum"
+_TERMS = "_advection_terms"
 
 
 class ConvergenceError(RuntimeError):
@@ -102,10 +115,6 @@ def _pcg(apply_m, apply_minv, shift, b, tol, max_iter):
         last = residual
 
 
-# attribute under which a VectorField2D keeps its advection terms
-_TERMS = "_advection_terms"
-
-
 def velocity_terms(u: VectorField2D) -> tuple[np.ndarray, np.ndarray]:
     """(u . grad)u and lap(u) as stacked (2, ny, nx) arrays, from one
     order-2 derivative pass of u.
@@ -113,19 +122,37 @@ def velocity_terms(u: VectorField2D) -> tuple[np.ndarray, np.ndarray]:
     The pair is memoized on u, like a director's derivative bundle: a
     VectorField2D is frozen and its values are read-only, so the pair
     cannot go stale. In a step, the density transport's foot points seed
-    it and step_momentum, its last reader, drops it before the solve. A
-    caller must not write into the arrays.
+    it and step_momentum, its last reader, drops it before the solve. The
+    pass reads and drops the half spectrum that step_momentum keeps on its
+    result, so a stepped velocity takes inverse transforms only. A caller
+    must not write into the arrays.
     """
     terms = vars(u).get(_TERMS)
     if terms is None:
         vel = u.as_array()
-        dx, dy, lap = derivative_arrays(u.grid, vel, 2)
+        dx, dy, lap = derivative_arrays(u.grid, vel, 2,
+                                        vars(u).pop(_SPECTRUM, None))
         adv = vel[0] * dx
         del dx
         adv += vel[1] * dy
         terms = (adv, lap)
         object.__setattr__(u, _TERMS, terms)
     return terms
+
+
+def velocity_gradient(u: VectorField2D) -> list[np.ndarray]:
+    """[dx u, dy u] as stacked (2, ny, nx) arrays. A velocity that
+    step_momentum returned gives them from its kept half spectrum, with
+    inverse transforms only, and keeps it for velocity_terms."""
+    h = vars(u).get(_SPECTRUM)
+    return derivative_arrays(u.grid, u.as_array() if h is None else None,
+                             spectrum=h)
+
+
+def drop_memos(u: VectorField2D) -> None:
+    """Remove the half spectrum and the advection terms memoized on u."""
+    vars(u).pop(_SPECTRUM, None)
+    vars(u).pop(_TERMS, None)
 
 
 def _right_side(rv, u, force, dt):
@@ -150,10 +177,12 @@ def step_momentum(rho: ScalarField2D, u: VectorField2D, force: VectorField2D,
     """Advance the velocity one step of size dt.
 
     `force` is the director body force entering the momentum balance with a
-    minus sign on the right-hand side. Returns the divergence-free velocity.
-    If `info` is given, it receives the CG iteration count
-    (`cg_iterations`) and the true relative residual at exit
-    (`cg_residual`).
+    minus sign on the right-hand side. Returns the divergence-free velocity,
+    which keeps the half spectrum it was made from (see velocity_gradient
+    and velocity_terms). If `info` is given, it receives the CG iteration
+    count (`cg_iterations`) and the true relative residual at exit
+    (`cg_residual`). A constant density is solved directly, without CG:
+    0 iterations and residual 0.0 mean that direct solve.
 
     (u . grad)u and lap(u) come from velocity_terms(u): read from u when
     the density transport of the same step seeded them, computed here
@@ -165,25 +194,33 @@ def step_momentum(rho: ScalarField2D, u: VectorField2D, force: VectorField2D,
     if not (rho.grid == g == force.grid):
         raise ValueError("fields live on different grids")
     rv = rho.values
-    if rv.min() < 0.0:
+    lo, hi = rv.min(), rv.max()
+    if lo < 0.0:
         raise ValueError("density must be nonnegative")
-    if rv.max() == 0.0:
+    if hi == 0.0:
         raise ValueError("density must not vanish identically")
 
-    rho_bar = float(rv.mean())
-    m = rho_bar / dt + 0.5 * g.k2
-    minv = 1.0 / m
     # the right side is passed as a temporary, so it is freed with the solve
-    star, iters, residual = _pcg(lambda a: apply_multiplier(g, a, m),
-                                 lambda a: apply_multiplier(g, a, minv),
-                                 (rv - rho_bar) / dt,
-                                 _right_side(rv, u, force, dt), cg_tol,
-                                 cg_max_iter)
+    if lo == hi:
+        w, h = solenoidal_arrays(g, _right_side(rv, u, force, dt),
+                                 1.0 / (hi / dt + 0.5 * g.k2))
+        iters, residual = 0, 0.0
+    else:
+        rho_bar = float(rv.mean())
+        m = rho_bar / dt + 0.5 * g.k2
+        minv = 1.0 / m
+        star, iters, residual = _pcg(lambda a: apply_multiplier(g, a, m),
+                                     lambda a: apply_multiplier(g, a, minv),
+                                     (rv - rho_bar) / dt,
+                                     _right_side(rv, u, force, dt), cg_tol,
+                                     cg_max_iter)
+        w, h = solenoidal_arrays(g, star)
     if info is not None:
         info["cg_iterations"] = iters
         info["cg_residual"] = residual
-    w = solenoidal_arrays(g, star)
-    return VectorField2D.from_arrays(g, w[0], w[1])
+    out = VectorField2D.from_arrays(g, w[0], w[1])
+    object.__setattr__(out, _SPECTRUM, h)
+    return out
 
 
 def kinetic_energy(rho: ScalarField2D, u: VectorField2D) -> float:
@@ -197,10 +234,9 @@ def material_derivative(u_new: VectorField2D, u_old: VectorField2D,
                         dt: float) -> VectorField2D:
     """Acceleration along particle paths: (u_new - u_old)/dt
     + u_new . grad(u_new)."""
-    g = u_new.grid
-    ux, uy = derivative_arrays(g, u_new.as_array())
+    ux, uy = velocity_gradient(u_new)
     return VectorField2D.from_arrays(
-        g, *acceleration_arrays(u_new, u_old, dt, zip(ux, uy)))
+        u_new.grid, *acceleration_arrays(u_new, u_old, dt, zip(ux, uy)))
 
 
 def acceleration_arrays(u_new: VectorField2D, u_old: VectorField2D, dt: float,

@@ -25,11 +25,11 @@ from . import diagnostics as diag
 from .config import SimConfig
 from .director import (DegenerateDirectorError, ericksen_stress, step_director,
                        unit_drift)
-from .fields import (NonFiniteError, derivative_arrays, integral,
-                     parseval_derivatives, spectral_tail_fraction)
+from .fields import (NonFiniteError, integral, parseval_derivatives,
+                     spectral_tail_fraction)
 from .io import export_heatmap, read_csv, write_csv, write_snapshot
-from .momentum import (ConvergenceError, acceleration_arrays, kinetic_energy,
-                       step_momentum)
+from .momentum import (ConvergenceError, acceleration_arrays, drop_memos,
+                       kinetic_energy, step_momentum, velocity_gradient)
 from .scenarios import make_scenario
 from .state import SimState
 from .transport import CFLError, advect_density, cfl_number
@@ -202,7 +202,7 @@ def _sample(state: SimState, cfg: SimConfig, mon: RunMonitors, dt: float
     ke = kinetic_energy(rho, u)
     n = diag.director_norms(d)
     gd2, hess = n.grad_l2_sq, n.hess_l2_sq
-    ux, uy = derivative_arrays(g, u.as_array())
+    ux, uy = velocity_gradient(u)
     grad_u = integral(g, ux * ux + uy * uy)
     energy = ke + gd2
     drift_q2 = (abs(diag.density_deviation(rho, cfg.rho_bar) - mon.rho0_q2)
@@ -359,6 +359,9 @@ def simulate(cfg: SimConfig, state: SimState | None = None,
         if isinstance(exc, ConvergenceError):
             monitors.max_cg_iterations = max(monitors.max_cg_iterations,
                                              exc.iterations)
+        # the failed step may have left its memos on the velocity it
+        # stepped from, which the result returns
+        drop_memos(state.u)
 
     timing["t_wall"] = perf_counter() - start
     faults = None if faults0 is None else _minor_faults() - faults0

@@ -38,14 +38,10 @@ def _cubic_weights(t: np.ndarray):
 
 
 def sample_bicubic(grid: Grid2D, values: np.ndarray, ix: np.ndarray,
-                   iy: np.ndarray, limit: bool = False) -> np.ndarray:
-    """Periodic bicubic interpolation at fractional index coordinates.
-
-    values has shape (..., ny, nx); every leading slice is read at the same
-    points, which share one stencil of indices and weights, and the result
-    has shape values.shape[:-2] + ix.shape. With limit=True the result is
-    clamped to the min/max of the four surrounding nodes (monotone variant,
-    no new extrema).
+                   iy: np.ndarray) -> np.ndarray:
+    """Periodic bicubic interpolation of values (ny, nx) at fractional index
+    coordinates, clamped to the min/max of the four surrounding nodes
+    (monotone variant, no new extrema). The result has the shape of ix.
     """
     # one periodic copy padded by the stencil's reach (1 before, 2 after),
     # so that node (j0 - 1 + a, i0 - 1 + b) sits at flat index base + a*w + b.
@@ -63,8 +59,7 @@ def sample_bicubic(grid: Grid2D, values: np.ndarray, ix: np.ndarray,
     wx = _cubic_weights(tx)
     wy = _cubic_weights(ty)
     del tx, ty
-    pad = [(0, 0)] * (values.ndim - 2) + [(1, 2), (1, 2)]
-    flat = np.pad(values, pad, mode="wrap").reshape(values.shape[:-2] + (-1,))
+    flat = np.pad(values, ((1, 2), (1, 2)), mode="wrap").ravel()
     del values
 
     # products are formed in place, in the gathered rows, so the loop holds
@@ -74,8 +69,8 @@ def sample_bicubic(grid: Grid2D, values: np.ndarray, ix: np.ndarray,
     for a in range(4):
         row_acc = 0.0
         for b in range(4):
-            v = np.take(flat, base + (a * w + b), axis=-1)
-            if limit and a in (1, 2) and b in (1, 2):
+            v = np.take(flat, base + (a * w + b))
+            if a in (1, 2) and b in (1, 2):
                 if lo is None:
                     lo, hi = v.copy(), v.copy()
                 else:
@@ -85,10 +80,7 @@ def sample_bicubic(grid: Grid2D, values: np.ndarray, ix: np.ndarray,
             row_acc += v
         row_acc *= wy[a]
         out += row_acc
-
-    if limit:
-        out = np.clip(out, lo, hi)
-    return out
+    return np.clip(out, lo, hi, out=out)
 
 
 def foot_points(u: VectorField2D, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -121,5 +113,5 @@ def advect_density(rho: ScalarField2D, u: VectorField2D, dt: float,
     nu = cfl_number(u, dt)
     if nu > cfl_limit:
         raise CFLError(f"CFL number {nu:.3g} exceeds limit {cfl_limit:.3g}")
-    return ScalarField2D(rho.grid, sample_bicubic(
-        rho.grid, rho.values, *foot_points(u, dt), limit=True))
+    return ScalarField2D(rho.grid, sample_bicubic(rho.grid, rho.values,
+                                                  *foot_points(u, dt)))

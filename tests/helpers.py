@@ -19,12 +19,14 @@ FFT_FUNCTIONS = ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft",
 
 def count_transforms(monkeypatch):
     """Counter whose "fft" entry counts the numpy.fft calls made from now
-    until the monkeypatch is undone. numpy's 2-D transforms call the n-D
+    until the monkeypatch is undone, and whose entry under each function's
+    name counts that function's calls. numpy's 2-D transforms call the n-D
     ones inside numpy.fft's own module, so each call counts once."""
     calls = Counter()
     for name in FFT_FUNCTIONS:
-        def counted(*args, _real=getattr(np.fft, name), **kwargs):
+        def counted(*args, _real=getattr(np.fft, name), _name=name, **kwargs):
             calls["fft"] += 1
+            calls[_name] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     return calls
@@ -84,6 +86,35 @@ def rotate_director(d, R):
     arr = d.as_array()
     out = np.einsum("ij,jyx->iyx", R, arr)
     return DirectorField2D.from_arrays(d.grid, out[0], out[1], out[2])
+
+
+# Catmull-Rom spline in matrix form: p(t) = [1, t, t^2, t^3] C [p-1, p0, p1,
+# p2] for t in [0, 1) between p0 and p1
+CATMULL_ROM = 0.5 * np.array([[0.0, 2.0, 0.0, 0.0],
+                              [-1.0, 0.0, 1.0, 0.0],
+                              [2.0, -5.0, 4.0, -1.0],
+                              [-1.0, 3.0, -3.0, 1.0]])
+
+
+def catmull_rom_read(values, ix, iy):
+    """Unlimited periodic bicubic Catmull-Rom read of values (ny, nx) at
+    fractional index coordinates, node by node; an oracle of the
+    interpolant that transport.sample_bicubic limits."""
+    ny, nx = values.shape
+    i0, j0 = np.floor(ix), np.floor(iy)
+
+    def weights(t):
+        powers = np.stack([np.ones_like(t), t, t * t, t * t * t], axis=-1)
+        return powers @ CATMULL_ROM  # (..., 4): one weight per node
+
+    wx, wy = weights(ix - i0), weights(iy - j0)
+    i0, j0 = i0.astype(int), j0.astype(int)
+    out = np.zeros(np.shape(ix))
+    for a in range(4):
+        for b in range(4):
+            node = values[(j0 - 1 + a) % ny, (i0 - 1 + b) % nx]
+            out += wy[..., a] * wx[..., b] * node
+    return out
 
 
 def fd_gradient(values, dx, dy):

@@ -243,9 +243,25 @@ class TestHalfSpectrum:
             assert_matches(a, b)
 
     def test_solenoidal_arrays_matches_oracle(self, grid, data):
-        w = solenoidal_arrays(grid, data)
+        w, h = solenoidal_arrays(grid, data)
         assert w.shape == data.shape
         for a, b in zip(w, fft2_project(grid, data[0], data[1])[:2]):
+            assert_matches(a, b)
+        # the returned spectrum stands for w in the derivative pass
+        for a, b in zip(derivative_arrays(grid, None, 2, spectrum=h),
+                        derivative_arrays(grid, w, 2)):
+            assert_matches(a, b)
+
+    def test_solenoidal_arrays_applies_a_multiplier(self, grid, data,
+                                                    monkeypatch):
+        _, _, k2 = full_wavenumbers(grid)
+        calls = count_transforms(monkeypatch)
+        w, _ = solenoidal_arrays(grid, data, 1.0 / (3.0 + 0.5 * grid.k2))
+        assert calls["fft"] == 2
+        m = 1.0 / (3.0 + 0.5 * k2)
+        want = fft2_project(grid, fft2_multiplier(data[0], m),
+                            fft2_multiplier(data[1], m))
+        for a, b in zip(w, want[:2]):
             assert_matches(a, b)
 
     @pytest.mark.parametrize("shape", [(24, 16, 2.0, 1.0), (32, 32, 1.0, 1.0)])

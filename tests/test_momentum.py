@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 import nematic2d.momentum
+import nematic2d.simulation
 import nematic2d.transport
 from nematic2d import (ConvergenceError, Grid2D, ScalarField2D, SimConfig,
                        VectorField2D, advect_density, divergence,
                        initial_state, kinetic_energy, lp_norm,
-                       material_derivative, step_momentum, step_once,
-                       vector_lp_norm, velocity_from_stream)
+                       material_derivative, simulate, step_momentum,
+                       step_once, vector_lp_norm, velocity_from_stream)
 from nematic2d.diagnostics import velocity_grad_l2_sq
-from nematic2d.fields import apply_multiplier
-from nematic2d.momentum import _TERMS, velocity_terms
+from nematic2d.fields import apply_multiplier, solenoidal_arrays
+from nematic2d.momentum import (_SPECTRUM, _TERMS, velocity_gradient,
+                                velocity_terms)
 
 from helpers import (band_limited_field, count_transforms, momentum_system,
                      reference_pcg)
@@ -246,13 +248,15 @@ class TestVelocityTerms:
         real = nematic2d.transport.sample_bicubic
 
         def spy(*args, **kwargs):
-            gathers.append(kwargs.get("limit", False))
+            gathers.append(args[1])
             return real(*args, **kwargs)
 
         monkeypatch.setattr(nematic2d.transport, "sample_bicubic", spy)
         cfg = SimConfig(nx=32, ny=32, dt=1e-3, scenario="vacuum-bubble")
-        step_once(initial_state(cfg), cfg, cfg.dt)
-        assert gathers == [True]  # the limited density read alone
+        state = initial_state(cfg)
+        step_once(state, cfg, cfg.dt)
+        assert len(gathers) == 1  # the density read alone
+        assert gathers[0] is state.rho.values
 
     def test_transport_seeds_and_the_momentum_step_drops(self, monkeypatch):
         cfg = SimConfig(nx=32, ny=32, dt=1e-3, scenario="vacuum-bubble")
@@ -282,6 +286,99 @@ class TestVelocityTerms:
         assert calls["fft"] - n_seeded == n_seeded + 4
         assert np.array_equal(seeded.as_array(), fresh.as_array())
         assert _TERMS not in vars(u) and _TERMS not in vars(copy)
+
+
+def relative_error(a, want):
+    return np.abs(a - want).max() / np.abs(want).max()
+
+
+class TestDirectSolve:
+    """With a constant density A = M, so step_momentum solves with M's
+    inverse and projects in one transform pair, without CG."""
+
+    def test_matches_cg_and_projection(self, grid, monkeypatch):
+        rho = ScalarField2D.full(grid, 1.3)
+        u, force, dt = small_vortex(grid, 0.3), random_force(grid, 2.0), 1e-3
+        apply_a, apply_minv, b = momentum_system(rho, u, force, dt)
+        x, iters, _ = nematic2d.momentum._pcg(
+            apply_a, apply_minv, np.zeros(grid.shape), b, 1e-10, 500)
+        assert iters == 1  # A = M: the preconditioner solves it at once
+        want, _ = solenoidal_arrays(grid, x)
+        velocity_terms(u)  # seeded, as by the step's transport
+        calls = count_transforms(monkeypatch)
+        info = {}
+        got = step_momentum(rho, u, force, dt, info=info)
+        assert relative_error(got.as_array(), want) <= 1e-12
+        assert info == {"cg_iterations": 0, "cg_residual": 0.0}
+        assert calls["fft"] == 2
+        assert calls["rfft2"] == calls["irfft2"] == 1
+
+
+class TestKeptSpectrum:
+    """The velocity step_momentum returns keeps its half spectrum: the
+    sample reads it for grad(u), and the next step's velocity_terms reads
+    and drops it, so no pass transforms that velocity forward again."""
+
+    @pytest.mark.parametrize("density", [
+        lambda g: ScalarField2D.full(g, 1.0), vacuum_disk_density])
+    def test_seeded_and_fresh_steps_agree(self, grid, density, monkeypatch):
+        rho, force = density(grid), random_force(grid, 2.0)
+        u = step_momentum(rho, small_vortex(grid, 0.3), force, 1e-3)
+        assert _SPECTRUM in vars(u)
+        copy = VectorField2D.from_arrays(grid, *u.as_array())
+        calls = count_transforms(monkeypatch)
+        seeded = step_momentum(rho, u, force, 1e-3)
+        n_seeded = calls["rfft2"]
+        fresh = step_momentum(rho, copy, force, 1e-3)
+        # the fresh step adds the forward transform of its velocity pass
+        assert calls["rfft2"] - n_seeded == n_seeded + 1
+        assert relative_error(seeded.as_array(), fresh.as_array()) <= 1e-13
+        assert _SPECTRUM not in vars(u) and _TERMS not in vars(u)
+
+    def test_gradient_reads_and_keeps_the_spectrum(self, grid, monkeypatch):
+        rho = vacuum_disk_density(grid)
+        u = step_momentum(rho, small_vortex(grid, 0.3),
+                          VectorField2D.zeros(grid), 1e-3)
+        copy = VectorField2D.from_arrays(grid, *u.as_array())
+        calls = count_transforms(monkeypatch)
+        kept = velocity_gradient(u)
+        assert calls["rfft2"] == 0 and calls["irfft2"] == 2
+        assert _SPECTRUM in vars(u)
+        for a, b in zip(kept, velocity_gradient(copy)):
+            assert relative_error(a, b) <= 1e-12
+
+    @pytest.mark.parametrize("scenario", ["vacuum-bubble", "angle-condition"])
+    def test_no_forward_transform_of_a_stepped_velocity(self, scenario,
+                                                        monkeypatch):
+        stepped = []
+        real_step = nematic2d.simulation.step_momentum
+
+        def spy_step(*args, **kwargs):
+            out = real_step(*args, **kwargs)
+            stepped.append(out.as_array())
+            return out
+
+        forward = []
+        for name in ("rfft2", "rfftn", "rfft", "fft2", "fftn", "fft"):
+            def spy_fft(a, *args, _real=getattr(np.fft, name), **kwargs):
+                forward.append(np.array(a))
+                return _real(a, *args, **kwargs)
+            monkeypatch.setattr(np.fft, name, spy_fft)
+        monkeypatch.setattr(nematic2d.simulation, "step_momentum", spy_step)
+        cfg = SimConfig(nx=32, ny=32, dt=1e-3, t_end=5e-3, cadence=1,
+                        scenario=scenario)
+        res = simulate(cfg, write_files=False)
+        assert res.summary["status"] == "completed"
+        assert len(stepped) == 5 and len(res.records) == 6
+        assert forward  # the right sides and the director are transformed
+
+        def is_stepped(a):
+            return any((a.shape == v.shape and np.array_equal(a, v))
+                       or (a.shape == v.shape[1:]
+                           and any(np.array_equal(a, c) for c in v))
+                       for v in stepped)
+
+        assert not any(is_stepped(a) for a in forward)
 
 
 class TestKineticEnergy:
