@@ -50,7 +50,7 @@ class SimConfig:
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be at least 1")
         n = math.sqrt(sum(c * c for c in self.e))
-        if abs(n - 1.0) > 1e-9:
+        if not abs(n - 1.0) <= 1e-9:
             raise ValueError("far-field director must be a unit vector")
         self.e = tuple(c / n for c in self.e)
         self.grid()  # validates the grid sizes and box

@@ -122,10 +122,10 @@ def velocity_terms(u: VectorField2D) -> tuple[np.ndarray, np.ndarray]:
     The pair is memoized on u, like a director's derivative bundle: a
     VectorField2D is frozen and its values are read-only, so the pair
     cannot go stale. In a step, the density transport's foot points seed
-    it and step_momentum, its last reader, drops it before the solve. The
-    pass reads and drops the half spectrum that step_momentum keeps on its
-    result, so a stepped velocity takes inverse transforms only. A caller
-    must not write into the arrays.
+    it when the density varies, and step_momentum, its last reader, drops
+    it before the solve. The pass reads and drops the half spectrum that
+    step_momentum keeps on its result, so a stepped velocity takes inverse
+    transforms only. A caller must not write into the arrays.
     """
     terms = vars(u).get(_TERMS)
     if terms is None:

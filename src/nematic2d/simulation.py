@@ -167,9 +167,11 @@ def step_once(state: SimState, cfg: SimConfig, dt: float,
     """One coupled step of size dt from the given state. If `info` is
     given, it receives step_momentum's CG entries and the wall time in
     seconds of each stage: `t_transport`, `t_director`, `t_force` and
-    `t_momentum`. `t_transport` includes the velocity's derivative pass
-    (momentum.velocity_terms), which the foot points take first and the
-    momentum step reads after them."""
+    `t_momentum`. The velocity's derivative pass
+    (momentum.velocity_terms) counts in `t_transport` when the density
+    varies, since the foot points take it first and the momentum step reads
+    it after them. A constant density is transported to itself, so the
+    pass then counts in `t_momentum`."""
     info = {} if info is None else info
     t0 = perf_counter()
     rho1 = advect_density(state.rho, state.u, dt, cfl_limit=cfg.cfl)
@@ -317,7 +319,10 @@ def simulate(cfg: SimConfig, state: SimState | None = None,
     if write_files:
         out.mkdir(parents=True, exist_ok=True)
 
-    t0, step0 = state.t, state.step
+    # fixed-dt sample times sit on the lattice origin + step * dt; the
+    # origin is where step 0 sits, so a run resumed from a state on that
+    # lattice logs the same times as the run that never stopped
+    t_origin = state.t - state.step * cfg.dt if cfg.dt is not None else None
     dt_ref = cfg.cfl * min(cfg.grid().dx, cfg.grid().dy)
 
     failure = None
@@ -340,8 +345,7 @@ def simulate(cfg: SimConfig, state: SimState | None = None,
             info: dict = {}
             state = step_once(state, cfg, dt, info)
             if cfg.dt is not None:
-                # keep sample times exactly on the uniform step lattice
-                state.t = t0 + (state.step - step0) * cfg.dt
+                state.t = t_origin + state.step * cfg.dt
             monitors.max_cg_iterations = max(monitors.max_cg_iterations,
                                              info.get("cg_iterations", 0))
             monitors.max_cg_residual = max(monitors.max_cg_residual,

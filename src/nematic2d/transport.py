@@ -6,6 +6,11 @@ point x - dt (u - (dt/2) (u . grad)u) (Staniforth & Cote, Mon. Wea. Rev.
 density is read at the foot points with a monotonicity-limited bicubic
 interpolant, so the update obeys a discrete maximum principle exactly: every
 output value lies in [min(input), max(input)].
+
+A constant density is its own transport, as rho_t + u . grad(rho) = 0
+says: the limited read of a constant is that constant bitwise, so such a
+density skips the foot points and the gather and is returned as it is.
+The velocity's derivative pass then runs in the momentum step instead.
 """
 
 from __future__ import annotations
@@ -105,6 +110,11 @@ def advect_density(rho: ScalarField2D, u: VectorField2D, dt: float,
     Requires dt > 0 and a resolved step: cfl_number(u, dt) <= cfl_limit.
     The output range is contained in the input range pointwise, so
     nonnegative densities stay nonnegative and vacuum is preserved.
+
+    A constant density passes the same checks and is then returned itself,
+    with no foot points and no gather, and so without seeding
+    momentum.velocity_terms on u. The general path would give it bitwise:
+    the limiter clips each read to the min/max of its four corners.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -113,5 +123,7 @@ def advect_density(rho: ScalarField2D, u: VectorField2D, dt: float,
     nu = cfl_number(u, dt)
     if nu > cfl_limit:
         raise CFLError(f"CFL number {nu:.3g} exceeds limit {cfl_limit:.3g}")
+    if rho.values.min() == rho.values.max():
+        return rho
     return ScalarField2D(rho.grid, sample_bicubic(rho.grid, rho.values,
                                                   *foot_points(u, dt)))

@@ -92,14 +92,18 @@ out_dir = runs/demo
         ("dt", math.nan), ("dt", math.inf), ("dt", 0.0),
         ("nx", 0), ("nx", 7), ("ny", 6),
         ("lx", math.inf), ("ly", math.inf), ("lx", math.nan),
-        ("ly", 0.0)])
+        ("ly", 0.0),
+        ("e", (math.nan, 0.0, 1.0)), ("e", (0.0, 0.0, math.nan)),
+        ("e", (math.inf, 0.0, 1.0)), ("e", (0.0, -math.inf, 0.0))])
     def test_rejects_out_of_range_solver_settings(self, key, value):
         # a cfl <= 0 used to surface from advect_density as an uncaught
         # ValueError, and cg_tol <= 0 spent the whole CG budget; a NaN or
         # infinite t_end completed after 0 steps, a non-finite rho_bar
         # raised out of simulate, and a bad grid size or an infinite box
-        # side failed only there
-        with pytest.raises(ValueError, match=key):
+        # side failed only there; a NaN far-field director e was built as
+        # (nan, nan, nan) and failed only in simulate
+        match = "far-field director" if key == "e" else key
+        with pytest.raises(ValueError, match=match):
             SimConfig(**{key: value})
 
 
@@ -473,6 +477,9 @@ class TestEnergyBudget:
         assert want > first.summary["energy_budget_residual_max"]
         assert second.summary["energy_budget_residual_max"] == pytest.approx(
             want, rel=1e-12)
+        # the resumed run's sample times sit on the straight run's lattice
+        assert [r.t for r in first.records + second.records] == [
+            r.t for r in full.records]
 
     def test_cg_residual_is_reported(self):
         cfg = SimConfig(nx=32, ny=32, dt=1e-3, t_end=0.01,
@@ -524,7 +531,8 @@ class TestCli:
 
 class TestDemos:
     def test_demo_imports_exist(self):
-        # the demos run for minutes, so only their imports are checked
+        # the demos run end to end in CI (under half a minute for all of
+        # them), so here only their imports are checked
         demos = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
         assert demos
         for path in demos:
@@ -571,7 +579,9 @@ class TestTransformBudget:
         info = {}
         n, state = cost(step_once, state, cfg, cfg.dt, info)
         assert (info["cg_iterations"] == 0) is (scenario == "angle-condition")
-        # the transport and director stages take 22
+        # the transport and director stages take 22, the velocity's
+        # derivative pass included, which a constant density leaves to the
+        # momentum stage
         assert n <= 22 + momentum(info["cg_iterations"])
         assert cost(mon.serrin.update, state.d, cfg.dt)[0] == 0
         # later samples add the time derivatives against the previous one,

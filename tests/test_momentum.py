@@ -239,24 +239,41 @@ class TestCgSolve:
 
 
 class TestVelocityTerms:
-    """A step takes the velocity's derivatives once: the transport's foot
-    points seed (u . grad)u and lap(u) on the velocity, and the momentum
-    step reads them and drops them before its solve."""
+    """A step takes the velocity's derivatives once: when the density
+    varies, the transport's foot points seed (u . grad)u and lap(u) on the
+    velocity, and the momentum step reads them and drops them before its
+    solve. A constant density needs no foot points, so the momentum step
+    computes the pair itself."""
 
     def test_step_once_gathers_once(self, monkeypatch):
-        gathers = []
+        gathers, seeded = [], []
         real = nematic2d.transport.sample_bicubic
+        real_right_side = nematic2d.momentum._right_side
 
         def spy(*args, **kwargs):
             gathers.append(args[1])
             return real(*args, **kwargs)
 
+        def right_side(rv, u, force, dt):
+            seeded.append(_TERMS in vars(u))
+            return real_right_side(rv, u, force, dt)
+
         monkeypatch.setattr(nematic2d.transport, "sample_bicubic", spy)
-        cfg = SimConfig(nx=32, ny=32, dt=1e-3, scenario="vacuum-bubble")
-        state = initial_state(cfg)
-        step_once(state, cfg, cfg.dt)
-        assert len(gathers) == 1  # the density read alone
-        assert gathers[0] is state.rho.values
+        monkeypatch.setattr(nematic2d.momentum, "_right_side", right_side)
+        for scenario, gathered in (("vacuum-bubble", 1),
+                                   ("angle-condition", 0)):
+            gathers.clear()
+            seeded.clear()
+            cfg = SimConfig(nx=32, ny=32, dt=1e-3, scenario=scenario)
+            state = initial_state(cfg)
+            new = step_once(state, cfg, cfg.dt)
+            # the density read alone, or nothing for a constant density
+            assert len(gathers) == gathered
+            assert all(v is state.rho.values for v in gathers)
+            # the momentum step computes the pair itself when nothing
+            # gathered
+            assert seeded == [gathered == 1]
+            assert (new.rho is state.rho) is (gathered == 0)
 
     def test_transport_seeds_and_the_momentum_step_drops(self, monkeypatch):
         cfg = SimConfig(nx=32, ny=32, dt=1e-3, scenario="vacuum-bubble")

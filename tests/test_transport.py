@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import nematic2d.transport
 from nematic2d import (CFLError, Grid2D, ScalarField2D, VectorField2D,
                        advect_density, cfl_number, density_deviation)
+from nematic2d.momentum import _TERMS
 from nematic2d.transport import foot_points, sample_bicubic
 
-from helpers import catmull_rom_read, solenoidal_field
+from helpers import catmull_rom_read, count_transforms, solenoidal_field
 
 
 def gaussian_bump(grid, sigma=0.08, amp=1.0, base=0.0):
@@ -110,6 +112,48 @@ class TestAdvectDensity:
         assert cfl_number(u, 0.01) > 0.9
         with pytest.raises(CFLError):
             advect_density(gaussian_bump(g), u, 0.01)
+
+
+class TestConstantDensity:
+    """A constant density is its own transport: advect_density returns it
+    after the dt, grid and CFL checks, with no foot points and no gather."""
+
+    def test_returns_its_input_without_gather_or_transform(self,
+                                                          monkeypatch):
+        g = Grid2D(32, 32, 1.0, 1.0)
+        rho = ScalarField2D.full(g, 1.3)
+        u = solenoidal_field(g, np.random.default_rng(5), amplitude=1.5)
+        gathers = []
+        monkeypatch.setattr(nematic2d.transport, "sample_bicubic",
+                            lambda *args: gathers.append(args))
+        calls = count_transforms(monkeypatch)
+        assert advect_density(rho, u, 5e-3) is rho
+        assert gathers == [] and calls["fft"] == 0
+        assert _TERMS not in vars(u)  # the momentum step takes the pass
+
+    def test_keeps_the_input_checks(self):
+        g = Grid2D(32, 32, 1.0, 1.0)
+        rho = ScalarField2D.full(g, 1.0)
+        u = constant_velocity(g, 10.0, 0.0)
+        with pytest.raises(CFLError):
+            advect_density(rho, u, 0.01)
+        for dt in (0.0, -1e-3):
+            with pytest.raises(ValueError, match="dt"):
+                advect_density(rho, u, dt)
+        with pytest.raises(ValueError, match="grids"):
+            advect_density(ScalarField2D.full(Grid2D(16, 16, 1.0, 1.0), 1.0),
+                           u, 1e-3)
+
+    @pytest.mark.parametrize("value", [1.0, 0.3, 7.25e-3, 1e5])
+    def test_limited_read_of_a_constant_is_that_constant(self, value):
+        # the oracle behind returning the input: the general path would
+        # give the same bits
+        g = Grid2D(24, 16, 2.0, 1.0)
+        rng = np.random.default_rng(23)
+        ix = rng.uniform(-30.0, 50.0, g.shape)
+        iy = rng.uniform(-20.0, 35.0, g.shape)
+        out = sample_bicubic(g, np.full(g.shape, value), ix, iy)
+        assert np.array_equal(out, np.full(g.shape, value))
 
 
 class TestFootPoints:
