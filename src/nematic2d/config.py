@@ -39,13 +39,11 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         # the comparisons are written so that NaN fails them
-        finite = ("t_end", "rho_bar") + (() if self.dt is None else ("dt",))
+        finite = (("t_end", "rho_bar", "cfl", "cg_tol")
+                  + (() if self.dt is None else ("dt",)))
         for name in finite:
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        for name in ("cfl", "cg_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
         for name in ("cadence", "cg_max_iter"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be at least 1")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .director import director_derivatives
+from .director import director_derivatives, is_constant
 from .fields import (DirectorField2D, NonFiniteError, ScalarField2D,
                      VectorField2D, integral, lp_norm_array,
                      parseval_derivatives)
@@ -68,7 +68,11 @@ def director_norms(d: DirectorField2D) -> DirectorNorms:
     """All of DirectorNorms. |grad d|^2 comes from d's memoized bundle
     (director_derivatives); each component then costs one forward and one
     inverse transform, for lap d in real space, which the tension needs.
-    int |grad lap d|^2 is taken by Parseval on the same spectrum."""
+    int |grad lap d|^2 is taken by Parseval on the same spectrum. A
+    constant director (director.is_constant) has all norms zero, returned
+    without a transform."""
+    if is_constant(d):
+        return DirectorNorms(0.0, 0.0, 0.0, 0.0, 0.0)
     g = d.grid
     gs = director_derivatives(d)[1]
     hess = third = tension = 0.0
@@ -153,7 +157,9 @@ class SerrinExponents:
 
 def serrin_norm(d: DirectorField2D, r: float) -> float:
     """L^r norm of the pointwise gradient magnitude |grad d|, from d's
-    memoized bundle (director_derivatives)."""
+    memoized bundle (director_derivatives); 0.0 for a constant director."""
+    if is_constant(d):
+        return 0.0
     return lp_norm_array(d.grid, np.sqrt(director_derivatives(d)[1]), r)
 
 

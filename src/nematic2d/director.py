@@ -4,6 +4,14 @@ The director obeys d_t + u . grad(d) = lap(d) + |grad(d)|^2 d with |d| = 1.
 Diffusion is implicit (a modewise Fourier solve), transport and reaction are
 explicit, and the unit constraint is restored by pointwise renormalization
 after every step.
+
+A constant director (min = max on every component, the rule the density
+transport and the momentum step use for rho) is a steady solution: its
+spectral derivatives are exactly zero. It takes no transform: its
+derivatives are zero arrays, its elastic force is zero, and its step is
+the renormalization alone, with the FLOOR check. The check is made once per
+field and memoized on it (is_constant); a director that step_director
+returns carries its flag from birth.
 """
 
 from __future__ import annotations
@@ -45,6 +53,22 @@ def _renormalized(grid, comps) -> DirectorField2D:
 
 # attribute under which a DirectorField2D keeps its first-derivative bundle
 _BUNDLE = "_first_derivatives"
+# attribute under which a DirectorField2D keeps is_constant's answer
+_CONSTANT = "_constant"
+
+
+def is_constant(d: DirectorField2D) -> bool:
+    """Whether every component of d has min = max; memoized on d, which is
+    frozen with read-only values. step_director sets the flag on its
+    result: True from a constant director, False from the general path.
+    The general path is also correct on a constant director, so a False flag
+    on a director that happens to be constant costs transforms, not
+    accuracy."""
+    flag = vars(d).get(_CONSTANT)
+    if flag is None:
+        flag = all(c.values.min() == c.values.max() for c in d.components)
+        object.__setattr__(d, _CONSTANT, flag)
+    return flag
 
 
 def director_derivatives(d: DirectorField2D, order: int = 1):
@@ -58,15 +82,23 @@ def director_derivatives(d: DirectorField2D, order: int = 1):
     its own order-2 pass; order 1 then returns the stored arrays without a
     transform, and step_director, the bundle's last reader, drops it.
     Higher orders are always computed afresh.
+
+    A constant director (is_constant) gets one read-only zero array for
+    every derivative and for |grad d|^2, without a transform.
     """
     if order == 1:
         bundle = vars(d).get(_BUNDLE)
         if bundle is not None:
             return bundle
     g = d.grid
-    # per component: a stacked (3, ny, nx) pass measured slower to set up
-    ders = [derivative_arrays(g, c.values, order) for c in d.components]
-    grad_sq = sum(x[0] * x[0] + x[1] * x[1] for x in ders)
+    if is_constant(d):
+        zero = np.zeros(g.shape)
+        zero.setflags(write=False)
+        ders, grad_sq = [[zero] * (order + 1)] * 3, zero
+    else:
+        # per component: a stacked (3, ny, nx) pass measured slower to set up
+        ders = [derivative_arrays(g, c.values, order) for c in d.components]
+        grad_sq = sum(x[0] * x[0] + x[1] * x[1] for x in ders)
     object.__setattr__(d, _BUNDLE, ([(x[0], x[1]) for x in ders], grad_sq))
     return ders, grad_sq
 
@@ -84,21 +116,34 @@ def step_director(d: DirectorField2D, u: VectorField2D,
     the step then drops from d: a stepped-from director is not read again
     in a run, and older states kept alive, such as the last sample, would
     otherwise hold their gradients.
+
+    A constant director is its own solution: the right side is d and the
+    solve returns it, so the step reads no gradient, makes no transform
+    and only renormalizes d, with the same FLOOR check. Its result is
+    flagged constant; a result of the general path is flagged nonconstant
+    (is_constant).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if d.grid != u.grid:
         raise ValueError("director and velocity grids differ")
     g = d.grid
-    grads, grad_sq = director_derivatives(d)
+    constant = is_constant(d)
+    if constant:
+        star = [c.values for c in d.components]
+    else:
+        grads, grad_sq = director_derivatives(d)
+        u1, u2 = u.u1.values, u.u2.values
+        inv = 1.0 / (1.0 + dt * g.k2)
+        star = []
+        for comp, (gx, gy) in zip(d.components, grads):
+            rhs = comp.values + dt * (-(u1 * gx + u2 * gy)
+                                      + grad_sq * comp.values)
+            star.append(apply_multiplier(g, rhs, inv))
     vars(d).pop(_BUNDLE, None)
-    u1, u2 = u.u1.values, u.u2.values
-    inv = 1.0 / (1.0 + dt * g.k2)
-    star = []
-    for comp, (gx, gy) in zip(d.components, grads):
-        rhs = comp.values + dt * (-(u1 * gx + u2 * gy) + grad_sq * comp.values)
-        star.append(apply_multiplier(g, rhs, inv))
-    return _renormalized(g, star)
+    out = _renormalized(g, star)
+    object.__setattr__(out, _CONSTANT, constant)
+    return out
 
 
 def ericksen_stress(d: DirectorField2D) -> VectorField2D:
@@ -108,8 +153,12 @@ def ericksen_stress(d: DirectorField2D) -> VectorField2D:
     div(M) and f differ by the pure gradient grad(|grad d|^2 / 2), which the
     pressure absorbs, so their divergence-free projections agree.
 
-    The first-derivative part of this pass becomes d's memoized bundle.
+    The first-derivative part of this pass becomes d's memoized bundle. A
+    constant director exerts a zero force, returned without a transform and
+    without seeding the bundle.
     """
+    if is_constant(d):
+        return VectorField2D.zeros(d.grid)
     ders, _ = director_derivatives(d, order=2)
     f1 = sum(gx * lap for gx, _, lap in ders)
     f2 = sum(gy * lap for _, gy, lap in ders)

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import diagnostics as diag
 from .config import SimConfig
-from .director import (DegenerateDirectorError, ericksen_stress, step_director,
-                       unit_drift)
+from .director import (DegenerateDirectorError, ericksen_stress, is_constant,
+                       step_director, unit_drift)
 from .fields import (NonFiniteError, integral, parseval_derivatives,
                      spectral_tail_fraction)
 from .io import export_heatmap, read_csv, write_csv, write_snapshot
@@ -220,7 +220,10 @@ def _sample(state: SimState, cfg: SimConfig, mon: RunMonitors, dt: float
         a1, a2 = acceleration_arrays(u, prev.u, span, zip(ux, uy))
         rho_udot = integral(g, rho.values * (a1**2 + a2**2))
         dtd = (d.as_array() - prev.d.as_array()) / span
-        dt_h1 = integral(g, dtd * dtd) + parseval_derivatives(g, dtd)[0]
+        dt_h1 = integral(g, dtd * dtd)
+        # a difference of constants has no gradient
+        if not (is_constant(d) and is_constant(prev.d)):
+            dt_h1 += parseval_derivatives(g, dtd)[0]
     phi = replace(mon.phi)
     phi.update(state.t, rho_udot + dt_h1 + (hess + n.third_l2_sq),
                grad_u + (gd2 + hess))
@@ -255,7 +258,9 @@ def _sample(state: SimState, cfg: SimConfig, mon: RunMonitors, dt: float
 
 def _summary(cfg: SimConfig, state: SimState, mon: RunMonitors,
              failure: dict | None) -> dict:
-    tail = max(spectral_tail_fraction(c) for c in state.d.components)
+    d = state.d
+    tail = 0.0 if is_constant(d) else max(spectral_tail_fraction(c)
+                                          for c in d.components)
     bound = mon.bound.sup + mon.bound.integral
     return {
         "status": "failed" if failure else "completed",

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from nematic2d import (DegenerateDirectorError, DirectorField2D, Grid2D,
-                       SimConfig, VectorField2D, director_derivatives,
-                       director_grad_l2_sq, ericksen_stress, leray_project,
-                       renormalize, simulate, step_director, unit_drift)
-from nematic2d.director import _BUNDLE
+                       SerrinExponents, SerrinMonitor, SimConfig,
+                       VectorField2D, director_derivatives,
+                       director_grad_l2_sq, director_norms, ericksen_stress,
+                       leray_project, renormalize, simulate, step_director,
+                       unit_drift)
+from nematic2d.director import _BUNDLE, _CONSTANT, FLOOR, is_constant
 from nematic2d.fields import derivative_arrays, integral
 
 from helpers import (circle_director, count_transforms, ericksen_tensor,
@@ -148,7 +150,87 @@ class TestDerivativeBundle:
         # the state the second segment stepped from gave its bundle up
         assert _BUNDLE not in vars(first.state.d)
         last = second.monitors.prev.d
-        assert set(vars(last)) <= {"d1", "d2", "d3", _BUNDLE}
+        assert set(vars(last)) <= {"d1", "d2", "d3", _BUNDLE, _CONSTANT}
+
+
+class TestConstantDirector:
+    """A constant director is a steady solution with zero derivatives: its
+    step renormalizes it, its force and its norms are zero, and none of
+    them makes a transform."""
+
+    E = (0.6, 0.0, 0.8)
+
+    def flow(self, grid):
+        return solenoidal_field(grid, np.random.default_rng(8), amplitude=1.0)
+
+    def test_stages_make_no_transform(self, grid, transforms):
+        d = DirectorField2D.constant(grid, self.E)
+        u = self.flow(grid)
+        transforms.clear()
+        out = step_director(d, u, 1e-3)
+        force = ericksen_stress(out)
+        norms = director_norms(out)
+        serrin = SerrinMonitor(SerrinExponents(4.0, 4.0))
+        serrin.update(out, 1e-3)
+        assert transforms["fft"] == 0
+        assert np.array_equal(out.as_array(), renormalize(d).as_array())
+        assert is_constant(out)
+        assert not force.as_array().any()
+        assert norms.grad_l2_sq == norms.grad_l4_4 == norms.hess_l2_sq == 0.0
+        assert norms.third_l2_sq == norms.tension_l2_sq == 0.0
+        assert serrin.accumulated == 0.0
+
+    def test_matches_the_general_path(self, grid):
+        # the flag only picks the path: a constant director marked
+        # nonconstant takes the transforms and gets the same answer
+        u = self.flow(grid)
+        fast = DirectorField2D.constant(grid, self.E)
+        slow = DirectorField2D.constant(grid, self.E)
+        object.__setattr__(slow, _CONSTANT, False)
+        assert np.array_equal(step_director(fast, u, 1e-3).as_array(),
+                              step_director(slow, u, 1e-3).as_array())
+        assert not ericksen_stress(slow).as_array().any()
+        grads, gsq = director_derivatives(fast)
+        assert not gsq.any() and not any(a.any() for p in grads for a in p)
+        assert director_norms(slow) == director_norms(fast)
+
+    def test_step_drops_the_bundle_it_stepped_from(self, grid, transforms):
+        d = DirectorField2D.constant(grid, self.E)
+        assert director_grad_l2_sq(d) == 0.0 and transforms["fft"] == 0
+        assert _BUNDLE in vars(d)
+        u = self.flow(grid)
+        transforms.clear()
+        out = step_director(d, u, 1e-3)
+        assert _BUNDLE not in vars(d) and _BUNDLE not in vars(out)
+        assert transforms["fft"] == 0
+
+    def test_the_flag_is_set_once_per_field(self, grid):
+        d = DirectorField2D.constant(grid, self.E)
+        assert _CONSTANT not in vars(d)
+        assert is_constant(d) and vars(d)[_CONSTANT] is True
+        a = d.as_array()
+        a[2, 3, 5] = 0.81
+        bumped = DirectorField2D.from_arrays(grid, *a)
+        assert not is_constant(bumped)
+        # the general path marks its result without looking at it
+        out = step_director(bumped, VectorField2D.zeros(grid), 1e-3)
+        assert vars(out)[_CONSTANT] is False
+
+    def test_a_short_constant_still_degenerates(self, grid, transforms):
+        d = DirectorField2D.constant(grid, (0.0, 0.3, 0.3))
+        assert np.sqrt(0.18) < FLOOR
+        with pytest.raises(DegenerateDirectorError):
+            step_director(d, VectorField2D.zeros(grid), 1e-3)
+        assert transforms["fft"] == 0
+
+    def test_keeps_the_input_checks(self, grid):
+        d = DirectorField2D.constant(grid, self.E)
+        for dt in (0.0, -1e-3):
+            with pytest.raises(ValueError, match="dt"):
+                step_director(d, VectorField2D.zeros(grid), dt)
+        with pytest.raises(ValueError, match="grids"):
+            step_director(d, VectorField2D.zeros(Grid2D(32, 32, 1.0, 1.0)),
+                          1e-3)
 
 
 class TestRenormalize:

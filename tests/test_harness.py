@@ -15,6 +15,7 @@ from nematic2d import (Grid2D, RunMonitors, ScalarField2D, SimConfig,
                        initial_state, make_scenario, parse_config, read_csv,
                        read_snapshot, replay_csv, simulate, step_once,
                        write_snapshot)
+from nematic2d import diagnostics, simulation
 from nematic2d.cli import main as cli_main
 from nematic2d.io import CSV_COLUMNS
 from nematic2d.momentum import _SPECTRUM, _TERMS
@@ -94,10 +95,13 @@ out_dir = runs/demo
         ("lx", math.inf), ("ly", math.inf), ("lx", math.nan),
         ("ly", 0.0),
         ("e", (math.nan, 0.0, 1.0)), ("e", (0.0, 0.0, math.nan)),
-        ("e", (math.inf, 0.0, 1.0)), ("e", (0.0, -math.inf, 0.0))])
+        ("e", (math.inf, 0.0, 1.0)), ("e", (0.0, -math.inf, 0.0)),
+        ("cfl", math.inf), ("cg_tol", math.inf)])
     def test_rejects_out_of_range_solver_settings(self, key, value):
         # a cfl <= 0 used to surface from advect_density as an uncaught
-        # ValueError, and cg_tol <= 0 spent the whole CG budget; a NaN or
+        # ValueError, and cg_tol <= 0 spent the whole CG budget; an
+        # infinite cfl took all of t_end in one step and an infinite cg_tol
+        # accepted any residual, both reporting "completed"; a NaN or
         # infinite t_end completed after 0 steps, a non-finite rho_bar
         # raised out of simulate, and a bad grid size or an infinite box
         # side failed only there; a NaN far-field director e was built as
@@ -550,7 +554,8 @@ class TestTransformBudget:
     equal): a change that adds a transform to a stage shows here. Each
     director is transformed once: RunMonitors.fresh (or the scenario) and
     then ericksen_stress seed its derivative bundle, which the Serrin
-    update, the samples and the next director step read. A velocity that
+    update, the samples and the next director step read. A constant
+    director, vacuum-bubble's, is not transformed at all. A velocity that
     step_momentum returned keeps its half spectrum, so neither the sample
     nor the next step transforms it forward."""
 
@@ -559,11 +564,25 @@ class TestTransformBudget:
                               "small-director"])
     def test_transforms_per_stage(self, scenario, monkeypatch):
         calls = count_transforms(monkeypatch)
+        staged = {}  # transforms of each call of a director stage
 
         def cost(fn, *args):
             before = calls["fft"]
             out = fn(*args)
             return calls["fft"] - before, out
+
+        def counted(name, fn):
+            def wrapper(*args):
+                n, out = cost(fn, *args)
+                staged.setdefault(name, []).append(n)
+                return out
+            return wrapper
+
+        for module, name in ((simulation, "step_director"),
+                             (simulation, "ericksen_stress"),
+                             (diagnostics, "director_norms")):
+            monkeypatch.setattr(module, name,
+                                counted(name, getattr(module, name)))
 
         def momentum(iters):
             # the direct solve of a constant density takes one transform
@@ -573,23 +592,31 @@ class TestTransformBudget:
 
         cfg = SimConfig(nx=32, ny=32, dt=1e-3, scenario=scenario)
         state = initial_state(cfg)
+        constant = scenario == "vacuum-bubble"  # its director is constant
+        # transforms of the director step, the stress and director_norms
+        step, stress, norms = (0, 0, 0) if constant else (6, 12, 6)
         n, mon = cost(RunMonitors.fresh, cfg, state)
-        assert n <= 9
-        assert cost(_sample, state, cfg, mon, cfg.dt)[0] <= 9
+        assert n <= (0 if constant else 9)
+        # the first sample transforms the initial velocity forward
+        assert cost(_sample, state, cfg, mon, cfg.dt)[0] <= 3 + norms
         info = {}
         n, state = cost(step_once, state, cfg, cfg.dt, info)
         assert (info["cg_iterations"] == 0) is (scenario == "angle-condition")
-        # the transport and director stages take 22, the velocity's
-        # derivative pass included, which a constant density leaves to the
-        # momentum stage
-        assert n <= 22 + momentum(info["cg_iterations"])
+        # the velocity's derivative pass takes 4, in the transport stage
+        # when the density varies and in the momentum stage when not
+        assert n <= 4 + step + stress + momentum(info["cg_iterations"])
         assert cost(mon.serrin.update, state.d, cfg.dt)[0] == 0
         # later samples add the time derivatives against the previous one,
-        # and read grad(u) from the kept spectrum
-        assert cost(_sample, state, cfg, mon, cfg.dt)[0] <= 9
+        # one transform of d_t unless both directors are constant, and read
+        # grad(u) from the kept spectrum
+        n = cost(_sample, state, cfg, mon, cfg.dt)[0]
+        assert n <= 2 + norms + (0 if constant else 1)
         # a stepped velocity's derivative pass makes no forward transform
         n, state = cost(step_once, state, cfg, cfg.dt, info)
-        assert n <= 21 + momentum(info["cg_iterations"])
+        assert n <= 3 + step + stress + momentum(info["cg_iterations"])
+        assert staged == {"director_norms": [norms] * 2,
+                          "step_director": [step] * 2,
+                          "ericksen_stress": [stress] * 2}
 
 
 class TestStageTiming:
