@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .director import director_derivatives, is_constant
+from .director import director_derivatives
 from .fields import (DirectorField2D, NonFiniteError, ScalarField2D,
                      VectorField2D, integral, lp_norm_array,
                      parseval_derivatives)
@@ -69,9 +69,9 @@ def director_norms(d: DirectorField2D) -> DirectorNorms:
     (director_derivatives); each component then costs one forward and one
     inverse transform, for lap d in real space, which the tension needs.
     int |grad lap d|^2 is taken by Parseval on the same spectrum. A
-    constant director (director.is_constant) has all norms zero, returned
-    without a transform."""
-    if is_constant(d):
+    constant director (d.is_constant) has all norms zero, returned without
+    a transform."""
+    if d.is_constant:
         return DirectorNorms(0.0, 0.0, 0.0, 0.0, 0.0)
     g = d.grid
     gs = director_derivatives(d)[1]
@@ -157,23 +157,27 @@ class SerrinExponents:
 
 def serrin_norm(d: DirectorField2D, r: float) -> float:
     """L^r norm of the pointwise gradient magnitude |grad d|, from d's
-    memoized bundle (director_derivatives); 0.0 for a constant director."""
-    if is_constant(d):
-        return 0.0
+    memoized bundle (director_derivatives); exactly 0.0 for a constant
+    director, whose bundle holds zero arrays."""
     return lp_norm_array(d.grid, np.sqrt(director_derivatives(d)[1]), r)
 
 
 @dataclass
 class SerrinMonitor:
     """Accumulates int ||grad d||_{L^r}^s dt by per-step rectangles; a finite
-    accumulated value over [0, T] rules out breakdown before T."""
+    accumulated value over [0, T] rules out breakdown before T. For s = inf
+    it keeps the running sup over steps of ||grad d||_{L^r}, the
+    L^inf-in-time norm; either form never decreases."""
 
     exponents: SerrinExponents
     accumulated: float = 0.0
 
     def update(self, d: DirectorField2D, dt: float) -> None:
-        self.accumulated += (serrin_norm(d, self.exponents.r)
-                             ** self.exponents.s * dt)
+        norm, s = serrin_norm(d, self.exponents.r), self.exponents.s
+        if math.isinf(s):
+            self.accumulated = max(self.accumulated, norm)
+        else:
+            self.accumulated += norm**s * dt
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,11 @@ Diffusion is implicit (a modewise Fourier solve), transport and reaction are
 explicit, and the unit constraint is restored by pointwise renormalization
 after every step.
 
-A constant director (min = max on every component, the rule the density
-transport and the momentum step use for rho) is a steady solution: its
-spectral derivatives are exactly zero. It takes no transform: its
-derivatives are zero arrays, its elastic force is zero, and its step is
-the renormalization alone, with the FLOOR check. The check is made once per
-field and memoized on it (is_constant); a director that step_director
-returns carries its flag from birth.
+A constant director (DirectorField2D.is_constant, the fields module's
+min = max rule on every component) is a steady solution: its spectral
+derivatives are exactly zero. It takes no transform: its derivatives are
+zero arrays, from which the elastic force and the norms come out exactly
+zero, and its step is the renormalization alone, with the FLOOR check.
 """
 
 from __future__ import annotations
@@ -53,22 +51,6 @@ def _renormalized(grid, comps) -> DirectorField2D:
 
 # attribute under which a DirectorField2D keeps its first-derivative bundle
 _BUNDLE = "_first_derivatives"
-# attribute under which a DirectorField2D keeps is_constant's answer
-_CONSTANT = "_constant"
-
-
-def is_constant(d: DirectorField2D) -> bool:
-    """Whether every component of d has min = max; memoized on d, which is
-    frozen with read-only values. step_director sets the flag on its
-    result: True from a constant director, False from the general path.
-    The general path is also correct on a constant director, so a False flag
-    on a director that happens to be constant costs transforms, not
-    accuracy."""
-    flag = vars(d).get(_CONSTANT)
-    if flag is None:
-        flag = all(c.values.min() == c.values.max() for c in d.components)
-        object.__setattr__(d, _CONSTANT, flag)
-    return flag
 
 
 def director_derivatives(d: DirectorField2D, order: int = 1):
@@ -83,7 +65,7 @@ def director_derivatives(d: DirectorField2D, order: int = 1):
     transform, and step_director, the bundle's last reader, drops it.
     Higher orders are always computed afresh.
 
-    A constant director (is_constant) gets one read-only zero array for
+    A constant director (d.is_constant) gets one read-only zero array for
     every derivative and for |grad d|^2, without a transform.
     """
     if order == 1:
@@ -91,7 +73,7 @@ def director_derivatives(d: DirectorField2D, order: int = 1):
         if bundle is not None:
             return bundle
     g = d.grid
-    if is_constant(d):
+    if d.is_constant:
         zero = np.zeros(g.shape)
         zero.setflags(write=False)
         ders, grad_sq = [[zero] * (order + 1)] * 3, zero
@@ -119,17 +101,16 @@ def step_director(d: DirectorField2D, u: VectorField2D,
 
     A constant director is its own solution: the right side is d and the
     solve returns it, so the step reads no gradient, makes no transform
-    and only renormalizes d, with the same FLOOR check. Its result is
-    flagged constant; a result of the general path is flagged nonconstant
-    (is_constant).
+    and only renormalizes d, with the same FLOOR check. Whether a result
+    is constant is read from its own values (d.is_constant), so a result of
+    the general path that renormalizes to a constant takes this path next.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if d.grid != u.grid:
         raise ValueError("director and velocity grids differ")
     g = d.grid
-    constant = is_constant(d)
-    if constant:
+    if d.is_constant:
         star = [c.values for c in d.components]
     else:
         grads, grad_sq = director_derivatives(d)
@@ -141,9 +122,7 @@ def step_director(d: DirectorField2D, u: VectorField2D,
                                       + grad_sq * comp.values)
             star.append(apply_multiplier(g, rhs, inv))
     vars(d).pop(_BUNDLE, None)
-    out = _renormalized(g, star)
-    object.__setattr__(out, _CONSTANT, constant)
-    return out
+    return _renormalized(g, star)
 
 
 def ericksen_stress(d: DirectorField2D) -> VectorField2D:
@@ -154,11 +133,9 @@ def ericksen_stress(d: DirectorField2D) -> VectorField2D:
     pressure absorbs, so their divergence-free projections agree.
 
     The first-derivative part of this pass becomes d's memoized bundle. A
-    constant director exerts a zero force, returned without a transform and
-    without seeding the bundle.
+    constant director's derivatives are zero arrays (director_derivatives),
+    so its force is exactly zero, without a transform.
     """
-    if is_constant(d):
-        return VectorField2D.zeros(d.grid)
     ders, _ = director_derivatives(d, order=2)
     f1 = sum(gx * lap for gx, _, lap in ders)
     f2 = sum(gy * lap for _, gy, lap in ders)

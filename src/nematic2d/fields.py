@@ -116,6 +116,12 @@ class ScalarField2D:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
+    @cached_property
+    def is_constant(self) -> bool:
+        """min = max, the one constant-field rule: such a field has zero
+        derivatives and needs no transform. Cached; values are read-only."""
+        return bool(self.values.min() == self.values.max())
+
     @classmethod
     def zeros(cls, grid: Grid2D) -> "ScalarField2D":
         return cls(grid, np.zeros(grid.shape))
@@ -177,6 +183,10 @@ class DirectorField2D:
     @property
     def components(self) -> tuple[ScalarField2D, ScalarField2D, ScalarField2D]:
         return (self.d1, self.d2, self.d3)
+
+    @property
+    def is_constant(self) -> bool:
+        return all(c.is_constant for c in self.components)
 
     def as_array(self) -> np.ndarray:
         """Stacked copy of shape (3, ny, nx)."""
@@ -354,7 +364,11 @@ TAIL_CUT = 0.5
 
 def spectral_tail_fraction(f: ScalarField2D) -> float:
     """Fraction of non-mean spectral energy above TAIL_CUT times the Nyquist
-    wavenumber in either direction; a resolution-loss indicator."""
+    wavenumber in either direction; a resolution-loss indicator. 0.0 for a
+    constant field, without the transform, whose rounding would otherwise
+    read as a tail on grids of radix 5 or 7."""
+    if f.is_constant:
+        return 0.0
     g = f.grid
     fh = np.fft.rfft2(f.values)
     power = np.abs(fh) ** 2 * g.column_weight

@@ -181,8 +181,9 @@ def step_momentum(rho: ScalarField2D, u: VectorField2D, force: VectorField2D,
     which keeps the half spectrum it was made from (see velocity_gradient
     and velocity_terms). If `info` is given, it receives the CG iteration
     count (`cg_iterations`) and the true relative residual at exit
-    (`cg_residual`). A constant density is solved directly, without CG:
-    0 iterations and residual 0.0 mean that direct solve.
+    (`cg_residual`). A constant density (rho.is_constant) is solved
+    directly, without CG: 0 iterations and residual 0.0 mean that direct
+    solve.
 
     (u . grad)u and lap(u) come from velocity_terms(u): read from u when
     the density transport of the same step seeded them, computed here
@@ -201,7 +202,7 @@ def step_momentum(rho: ScalarField2D, u: VectorField2D, force: VectorField2D,
         raise ValueError("density must not vanish identically")
 
     # the right side is passed as a temporary, so it is freed with the solve
-    if lo == hi:
+    if rho.is_constant:
         w, h = solenoidal_arrays(g, _right_side(rv, u, force, dt),
                                  1.0 / (hi / dt + 0.5 * g.k2))
         iters, residual = 0, 0.0

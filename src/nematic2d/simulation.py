@@ -23,7 +23,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from .config import SimConfig
-from .director import (DegenerateDirectorError, ericksen_stress, is_constant,
+from .director import (DegenerateDirectorError, ericksen_stress,
                        step_director, unit_drift)
 from .fields import (NonFiniteError, integral, parseval_derivatives,
                      spectral_tail_fraction)
@@ -222,7 +222,7 @@ def _sample(state: SimState, cfg: SimConfig, mon: RunMonitors, dt: float
         dtd = (d.as_array() - prev.d.as_array()) / span
         dt_h1 = integral(g, dtd * dtd)
         # a difference of constants has no gradient
-        if not (is_constant(d) and is_constant(prev.d)):
+        if not (d.is_constant and prev.d.is_constant):
             dt_h1 += parseval_derivatives(g, dtd)[0]
     phi = replace(mon.phi)
     phi.update(state.t, rho_udot + dt_h1 + (hess + n.third_l2_sq),
@@ -258,9 +258,7 @@ def _sample(state: SimState, cfg: SimConfig, mon: RunMonitors, dt: float
 
 def _summary(cfg: SimConfig, state: SimState, mon: RunMonitors,
              failure: dict | None) -> dict:
-    d = state.d
-    tail = 0.0 if is_constant(d) else max(spectral_tail_fraction(c)
-                                          for c in d.components)
+    tail = max(spectral_tail_fraction(c) for c in state.d.components)
     bound = mon.bound.sup + mon.bound.integral
     return {
         "status": "failed" if failure else "completed",

@@ -111,10 +111,11 @@ def advect_density(rho: ScalarField2D, u: VectorField2D, dt: float,
     The output range is contained in the input range pointwise, so
     nonnegative densities stay nonnegative and vacuum is preserved.
 
-    A constant density passes the same checks and is then returned itself,
-    with no foot points and no gather, and so without seeding
-    momentum.velocity_terms on u. The general path would give it bitwise:
-    the limiter clips each read to the min/max of its four corners.
+    A constant density (rho.is_constant) passes the same checks and is
+    then returned itself, with no foot points and no gather, and so without
+    seeding momentum.velocity_terms on u. The general path would give it
+    bitwise: the limiter clips each read to the min/max of its four
+    corners.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -123,7 +124,7 @@ def advect_density(rho: ScalarField2D, u: VectorField2D, dt: float,
     nu = cfl_number(u, dt)
     if nu > cfl_limit:
         raise CFLError(f"CFL number {nu:.3g} exceeds limit {cfl_limit:.3g}")
-    if rho.values.min() == rho.values.max():
+    if rho.is_constant:
         return rho
     return ScalarField2D(rho.grid, sample_bicubic(rho.grid, rho.values,
                                                   *foot_points(u, dt)))

@@ -162,6 +162,33 @@ class TestSerrin:
             mon.update(d, 1e-2)
         assert mon.accumulated == pytest.approx(c**2 * 0.1, rel=1e-12)
 
+    def test_infinite_s_keeps_the_running_sup(self, grid):
+        # s = inf stands for the L^inf-in-time norm: the running sup over
+        # steps of ||grad d||_{L^r}, not a sum of norm^inf * dt
+        X, _ = grid.meshgrid()
+        small = circle_director(grid, 0.01 * np.sin(2 * np.pi * X))
+        big = circle_director(grid, 0.3 * np.sin(2 * np.pi * X))
+        lo, hi = serrin_norm(small, 4.0), serrin_norm(big, 4.0)
+        assert 0.0 < lo < 1.0 < hi
+        mon = SerrinMonitor(SerrinExponents(4.0, math.inf))
+        seen = []
+        for d in (small, big, small):
+            mon.update(d, 1e-3)
+            seen.append(mon.accumulated)
+        assert seen == [lo, hi, hi]
+
+    def test_infinite_s_run_reports_the_sup(self):
+        common = dict(nx=32, ny=32, dt=1e-3, t_end=0.01,
+                      scenario="small-director")
+        finite = simulate(SimConfig(**common), write_files=False)
+        sup = simulate(SimConfig(serrin_s=math.inf, **common),
+                       write_files=False)
+        acc = sup.summary["serrin_accumulated"]
+        assert 0.0 < acc < 1.0
+        # no step's norm exceeds the sup, so it bounds the s = 4 integral
+        bound = acc**4 * common["t_end"]
+        assert finite.summary["serrin_accumulated"] <= bound * (1 + 1e-9)
+
     def test_accumulator_never_decreases(self, grid):
         rng = np.random.default_rng(5)
         mon = SerrinMonitor(SerrinExponents(6.0, 3.0))

@@ -9,7 +9,7 @@ from nematic2d import (DegenerateDirectorError, DirectorField2D, Grid2D,
                        director_grad_l2_sq, director_norms, ericksen_stress,
                        leray_project, renormalize, simulate, step_director,
                        unit_drift)
-from nematic2d.director import _BUNDLE, _CONSTANT, FLOOR, is_constant
+from nematic2d.director import _BUNDLE, FLOOR
 from nematic2d.fields import derivative_arrays, integral
 
 from helpers import (circle_director, count_transforms, ericksen_tensor,
@@ -150,7 +150,7 @@ class TestDerivativeBundle:
         # the state the second segment stepped from gave its bundle up
         assert _BUNDLE not in vars(first.state.d)
         last = second.monitors.prev.d
-        assert set(vars(last)) <= {"d1", "d2", "d3", _BUNDLE, _CONSTANT}
+        assert set(vars(last)) <= {"d1", "d2", "d3", _BUNDLE}
 
 
 class TestConstantDirector:
@@ -174,19 +174,22 @@ class TestConstantDirector:
         serrin.update(out, 1e-3)
         assert transforms["fft"] == 0
         assert np.array_equal(out.as_array(), renormalize(d).as_array())
-        assert is_constant(out)
+        assert out.is_constant
         assert not force.as_array().any()
         assert norms.grad_l2_sq == norms.grad_l4_4 == norms.hess_l2_sq == 0.0
         assert norms.third_l2_sq == norms.tension_l2_sq == 0.0
         assert serrin.accumulated == 0.0
 
     def test_matches_the_general_path(self, grid):
-        # the flag only picks the path: a constant director marked
-        # nonconstant takes the transforms and gets the same answer
+        # the flag only picks the path: a constant director whose components
+        # are marked nonconstant takes the transforms and gets the same
+        # answer
         u = self.flow(grid)
         fast = DirectorField2D.constant(grid, self.E)
         slow = DirectorField2D.constant(grid, self.E)
-        object.__setattr__(slow, _CONSTANT, False)
+        for c in slow.components:
+            vars(c)["is_constant"] = False
+        assert not slow.is_constant
         assert np.array_equal(step_director(fast, u, 1e-3).as_array(),
                               step_director(slow, u, 1e-3).as_array())
         assert not ericksen_stress(slow).as_array().any()
@@ -205,16 +208,36 @@ class TestConstantDirector:
         assert transforms["fft"] == 0
 
     def test_the_flag_is_set_once_per_field(self, grid):
+        # the rule lives on each scalar component and is cached there
         d = DirectorField2D.constant(grid, self.E)
-        assert _CONSTANT not in vars(d)
-        assert is_constant(d) and vars(d)[_CONSTANT] is True
+        assert not any("is_constant" in vars(c) for c in d.components)
+        assert d.is_constant
+        assert all(vars(c)["is_constant"] is True for c in d.components)
         a = d.as_array()
         a[2, 3, 5] = 0.81
         bumped = DirectorField2D.from_arrays(grid, *a)
-        assert not is_constant(bumped)
-        # the general path marks its result without looking at it
+        assert not bumped.is_constant
+        assert vars(bumped.d3)["is_constant"] is False
         out = step_director(bumped, VectorField2D.zeros(grid), 1e-3)
-        assert vars(out)[_CONSTANT] is False
+        assert not out.is_constant
+
+    def test_a_general_step_that_lands_on_a_constant_is_recognized(
+            self, grid, transforms):
+        # (0, 0, a) with a > FLOOR renormalizes to (0, 0, 1) exactly, and
+        # the result is read as constant from its own values
+        X, _ = grid.meshgrid()
+        a = 0.8 + 0.1 * np.sin(2 * np.pi * X)
+        d = DirectorField2D.from_arrays(grid, 0 * a, 0 * a, a)
+        assert not d.is_constant and a.min() > FLOOR
+        out = step_director(d, VectorField2D.zeros(grid), 1e-3)
+        assert np.array_equal(
+            out.as_array(),
+            DirectorField2D.constant(grid, (0, 0, 1)).as_array())
+        assert out.is_constant
+        transforms.clear()
+        ericksen_stress(out)
+        step_director(out, VectorField2D.zeros(grid), 1e-3)
+        assert transforms["fft"] == 0
 
     def test_a_short_constant_still_degenerates(self, grid, transforms):
         d = DirectorField2D.constant(grid, (0.0, 0.3, 0.3))

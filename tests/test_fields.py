@@ -294,6 +294,29 @@ class TestHalfSpectrum:
             assert 0.0 < want < 1.0
             assert abs(spectral_tail_fraction(f) - want) <= 1e-12
 
+    @pytest.mark.parametrize("n", [10, 14, 80, 112])
+    @pytest.mark.parametrize("c", [0.3, 1.0 / 3.0])
+    def test_spectral_tail_fraction_of_a_constant_is_zero(self, n, c,
+                                                          monkeypatch):
+        # FFTs of radix 5 and 7 leave rounding noise in the non-mean modes
+        # of a constant, which would read as a tail of up to one half
+        f = ScalarField2D.full(Grid2D(n, n, 1.0, 1.0), c)
+        transforms = count_transforms(monkeypatch)
+        assert spectral_tail_fraction(f) == 0.0
+        assert transforms["fft"] == 0
+
+
+class TestConstantField:
+    def test_is_constant_is_min_equals_max_taken_once(self, grid):
+        a = np.full(grid.shape, 0.7)
+        a[3, 5] = np.nextafter(0.7, 1.0)
+        assert not ScalarField2D(grid, a).is_constant
+        f = ScalarField2D.full(grid, 0.7)
+        assert "is_constant" not in vars(f)
+        assert f.is_constant and vars(f)["is_constant"] is True
+        vars(f)["is_constant"] = False  # the cached answer is what is read
+        assert not f.is_constant
+
 
 # numpy.fft calls per call of each derivative helper: one forward transform
 # of the stacked velocity (or of the scalar), and one inverse per output
