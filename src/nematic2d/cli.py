@@ -153,7 +153,11 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_render)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, ValueError) as exc:  # an unreadable or malformed input
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

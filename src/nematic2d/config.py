@@ -84,10 +84,14 @@ def parse_config(path: str | Path) -> SimConfig:
             if not pname:
                 raise ValueError(f"{path}:{lineno}: empty scenario parameter")
             scen[pname] = _parse_scalar(value)
-        elif key in _FLOAT_KEYS:
-            kwargs[key] = float(value)
-        elif key in _INT_KEYS:
-            kwargs[key] = int(value)
+        elif key in _FLOAT_KEYS or key in _INT_KEYS:
+            integer = key in _INT_KEYS
+            try:
+                kwargs[key] = int(value) if integer else float(value)
+            except ValueError:
+                what = "an integer" if integer else "a number"
+                raise ValueError(f"{path}:{lineno}: {key} expects {what}"
+                                 ) from None
         elif key in _STR_KEYS:
             kwargs[key] = value
         else:

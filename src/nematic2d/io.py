@@ -40,15 +40,22 @@ def write_csv(records, path: str | Path) -> None:
 
 
 def read_csv(path: str | Path) -> dict[str, np.ndarray]:
-    """Columns of a diagnostics CSV as float arrays keyed by name."""
+    """Columns of a diagnostics CSV as float arrays keyed by name. A
+    malformed file raises ValueError naming the file, and the line of a
+    malformed row."""
     lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    header = lines[0].split(",")
-    if tuple(header) != CSV_COLUMNS:
-        raise ValueError(f"unexpected CSV header in {path}")
-    data = np.array([[float(v) for v in line.split(",")]
-                     for line in lines[1:]])
-    if data.size == 0:
-        data = data.reshape(0, len(CSV_COLUMNS))
+    if not lines or tuple(lines[0].split(",")) != CSV_COLUMNS:
+        raise ValueError(f"{path}: expected the diagnostics CSV header")
+    data = np.empty((len(lines) - 1, len(CSV_COLUMNS)))
+    for lineno, line in enumerate(lines[1:], start=2):
+        values = line.split(",")
+        if len(values) != len(CSV_COLUMNS):
+            raise ValueError(f"{path}:{lineno}: expected "
+                             f"{len(CSV_COLUMNS)} values, got {len(values)}")
+        try:
+            data[lineno - 2] = [float(v) for v in values]
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-numeric value") from None
     return {name: data[:, i] for i, name in enumerate(CSV_COLUMNS)}
 
 
@@ -64,24 +71,32 @@ def write_snapshot(path: str | Path, state: SimState) -> None:
 
 
 def read_snapshot(path: str | Path) -> SimState:
+    """The state write_snapshot stored, at step 0. A malformed file raises
+    ValueError naming it."""
     raw = Path(path).read_bytes()
+    if len(raw) < _HEADER.size:
+        raise ValueError(f"{path} is too short for a snapshot header "
+                         f"({len(raw)} of {_HEADER.size} bytes)")
     magic, version, nx, ny, lx, ly, t = _HEADER.unpack_from(raw, 0)
     if magic != SNAPSHOT_MAGIC:
         raise ValueError(f"{path} is not a state snapshot")
     if version != SNAPSHOT_VERSION:
-        raise ValueError(f"unsupported snapshot version {version}")
-    grid = Grid2D(nx, ny, lx, ly)
-    n = nx * ny
-    body = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-    if body.size != 6 * n:
-        raise ValueError(f"snapshot payload has {body.size} values, "
-                         f"expected {6 * n}")
-    planes = [body[i * n:(i + 1) * n].reshape(ny, nx) for i in range(6)]
-    return SimState(rho=ScalarField2D(grid, planes[0]),
-                    u=VectorField2D.from_arrays(grid, planes[1], planes[2]),
-                    d=DirectorField2D.from_arrays(grid, planes[3], planes[4],
-                                                  planes[5]),
-                    t=t, step=0)
+        raise ValueError(f"{path}: unsupported snapshot version {version}")
+    try:  # a bad grid, payload size or value
+        grid = Grid2D(nx, ny, lx, ly)
+        n = nx * ny
+        size = len(raw) - _HEADER.size
+        if size != 6 * 8 * n:
+            raise ValueError(f"snapshot payload has {size} bytes, expected "
+                             f"{6 * 8 * n}")
+        body = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
+        planes = [body[i * n:(i + 1) * n].reshape(ny, nx) for i in range(6)]
+        return SimState(
+            rho=ScalarField2D(grid, planes[0]),
+            u=VectorField2D.from_arrays(grid, planes[1], planes[2]),
+            d=DirectorField2D.from_arrays(grid, *planes[3:]), t=t, step=0)
+    except ValueError as exc:  # NonFiniteError keeps its type
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def export_heatmap(f: ScalarField2D, path: str | Path) -> None:

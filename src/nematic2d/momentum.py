@@ -27,9 +27,11 @@ restart whose true residual is not below the previous restart's cannot help
 spending the iteration cap. The projection takes one more transform pair.
 
 Either way the new velocity is born in spectral space, and step_momentum
-keeps its half spectrum on the returned field: the diagnostics sample reads
-it for grad(u), and the next step's velocity_terms reads and drops it, so
-neither transforms the new velocity forward again.
+seeds its derivative bundle (velocity_derivatives: grad(u) and lap(u)) from
+that half spectrum with inverse transforms only. The next step's foot
+points, the diagnostics sample and the next right side read the bundle,
+and that right side drops it, so no stage transforms a stepped velocity
+forward again. (u . grad)u is formed in advection alone.
 """
 
 from __future__ import annotations
@@ -41,10 +43,8 @@ import numpy as np
 from .fields import (ScalarField2D, VectorField2D, apply_multiplier,
                      derivative_arrays, integral, solenoidal_arrays)
 
-# attributes under which a VectorField2D keeps, in a run: the half spectrum
-# step_momentum made it from, and then its advection terms
-_SPECTRUM = "_half_spectrum"
-_TERMS = "_advection_terms"
+# attribute under which a VectorField2D keeps its derivative bundle
+_BUNDLE = "_derivatives"
 
 
 class ConvergenceError(RuntimeError):
@@ -115,57 +115,40 @@ def _pcg(apply_m, apply_minv, shift, b, tol, max_iter):
         last = residual
 
 
-def velocity_terms(u: VectorField2D) -> tuple[np.ndarray, np.ndarray]:
-    """(u . grad)u and lap(u) as stacked (2, ny, nx) arrays, from one
-    order-2 derivative pass of u.
+def velocity_derivatives(u: VectorField2D) -> list[np.ndarray]:
+    """[dx u, dy u, lap u] as stacked (2, ny, nx) arrays: u's derivative
+    bundle, memoized on u like a director's. A VectorField2D is frozen and
+    its values are read-only, so the bundle cannot go stale.
 
-    The pair is memoized on u, like a director's derivative bundle: a
-    VectorField2D is frozen and its values are read-only, so the pair
-    cannot go stale. In a step, the density transport's foot points seed
-    it when the density varies, and step_momentum, its last reader, drops
-    it before the solve. The pass reads and drops the half spectrum that
-    step_momentum keeps on its result, so a stepped velocity takes inverse
-    transforms only. A caller must not write into the arrays.
+    step_momentum seeds it on the velocity it returns, from the half
+    spectrum it holds; a velocity without one, such as an initial velocity
+    or one read from a snapshot, gets it from one order-2 pass on first
+    request. The foot points, the diagnostics sample and the next
+    momentum right side read it, and the right side, its last reader,
+    drops it. A caller must not write into the arrays.
     """
-    terms = vars(u).get(_TERMS)
-    if terms is None:
-        vel = u.as_array()
-        dx, dy, lap = derivative_arrays(u.grid, vel, 2,
-                                        vars(u).pop(_SPECTRUM, None))
-        adv = vel[0] * dx
-        del dx
-        adv += vel[1] * dy
-        terms = (adv, lap)
-        object.__setattr__(u, _TERMS, terms)
-    return terms
+    bundle = vars(u).get(_BUNDLE)
+    if bundle is None:
+        bundle = derivative_arrays(u.grid, u.as_array(), 2)
+        object.__setattr__(u, _BUNDLE, bundle)
+    return bundle
 
 
-def velocity_gradient(u: VectorField2D) -> list[np.ndarray]:
-    """[dx u, dy u] as stacked (2, ny, nx) arrays. A velocity that
-    step_momentum returned gives them from its kept half spectrum, with
-    inverse transforms only, and keeps it for velocity_terms."""
-    h = vars(u).get(_SPECTRUM)
-    return derivative_arrays(u.grid, u.as_array() if h is None else None,
-                             spectrum=h)
-
-
-def drop_memos(u: VectorField2D) -> None:
-    """Remove the half spectrum and the advection terms memoized on u."""
-    vars(u).pop(_SPECTRUM, None)
-    vars(u).pop(_TERMS, None)
+def advection(u: VectorField2D) -> np.ndarray:
+    """(u . grad)u as a stacked (2, ny, nx) array, from u's bundle."""
+    dx, dy, _ = velocity_derivatives(u)
+    adv = u.u1.values * dx
+    adv += u.u2.values * dy
+    return adv
 
 
 def _right_side(rv, u, force, dt):
     """rho u/dt - rho (u . grad u) - f + lap(u)/2 as a stacked (2, ny, nx)
-    array. The velocity terms are dropped from u, so the solve starts
-    without them, and each array is freed as soon as it is used."""
-    adv, lap = velocity_terms(u)
-    vars(u).pop(_TERMS, None)
+    array. u's bundle is dropped once read, so the solve starts without
+    it, and each array is freed as soon as it is used."""
     b = (rv / dt) * u.as_array()
-    b -= rv * adv
-    del adv
-    b += 0.5 * lap
-    del lap
+    b -= rv * advection(u)
+    b += 0.5 * vars(u).pop(_BUNDLE)[2]
     b[0] -= force.u1.values
     b[1] -= force.u2.values
     return b
@@ -178,16 +161,16 @@ def step_momentum(rho: ScalarField2D, u: VectorField2D, force: VectorField2D,
 
     `force` is the director body force entering the momentum balance with a
     minus sign on the right-hand side. Returns the divergence-free velocity,
-    which keeps the half spectrum it was made from (see velocity_gradient
-    and velocity_terms). If `info` is given, it receives the CG iteration
-    count (`cg_iterations`) and the true relative residual at exit
+    with its derivative bundle (velocity_derivatives) seeded from the half
+    spectrum it was made from: three inverse transforms, no forward one.
+    If `info` is given, it receives the CG iteration count
+    (`cg_iterations`) and the true relative residual at exit
     (`cg_residual`). A constant density (rho.is_constant) is solved
     directly, without CG: 0 iterations and residual 0.0 mean that direct
     solve.
 
-    (u . grad)u and lap(u) come from velocity_terms(u): read from u when
-    the density transport of the same step seeded them, computed here
-    otherwise, and dropped from u before the solve either way.
+    (u . grad)u and lap(u) come from u's bundle, which the right side
+    drops before the solve.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -220,7 +203,8 @@ def step_momentum(rho: ScalarField2D, u: VectorField2D, force: VectorField2D,
         info["cg_iterations"] = iters
         info["cg_residual"] = residual
     out = VectorField2D.from_arrays(g, w[0], w[1])
-    object.__setattr__(out, _SPECTRUM, h)
+    del w  # the field holds a copy; the seed's transforms take its place
+    object.__setattr__(out, _BUNDLE, derivative_arrays(g, None, 2, h))
     return out
 
 
@@ -234,16 +218,7 @@ def kinetic_energy(rho: ScalarField2D, u: VectorField2D) -> float:
 def material_derivative(u_new: VectorField2D, u_old: VectorField2D,
                         dt: float) -> VectorField2D:
     """Acceleration along particle paths: (u_new - u_old)/dt
-    + u_new . grad(u_new)."""
-    ux, uy = velocity_gradient(u_new)
-    return VectorField2D.from_arrays(
-        u_new.grid, *acceleration_arrays(u_new, u_old, dt, zip(ux, uy)))
-
-
-def acceleration_arrays(u_new: VectorField2D, u_old: VectorField2D, dt: float,
-                        grads) -> list[np.ndarray]:
-    """material_derivative as arrays, given [(dx, dy)] of u_new's components."""
-    n1, n2 = u_new.u1.values, u_new.u2.values
-    return [(c.values - c0.values) / dt + (n1 * gx + n2 * gy)
-            for c, c0, (gx, gy) in zip((u_new.u1, u_new.u2),
-                                       (u_old.u1, u_old.u2), grads)]
+    + u_new . grad(u_new), with the advection from u_new's bundle."""
+    a = (u_new.as_array() - u_old.as_array()) / dt
+    a += advection(u_new)
+    return VectorField2D.from_arrays(u_new.grid, a[0], a[1])

@@ -28,8 +28,8 @@ from .director import (DegenerateDirectorError, ericksen_stress,
 from .fields import (NonFiniteError, integral, parseval_derivatives,
                      spectral_tail_fraction)
 from .io import export_heatmap, read_csv, write_csv, write_snapshot
-from .momentum import (ConvergenceError, acceleration_arrays, drop_memos,
-                       kinetic_energy, step_momentum, velocity_gradient)
+from .momentum import (ConvergenceError, advection, kinetic_energy,
+                       step_momentum, velocity_derivatives)
 from .scenarios import make_scenario
 from .state import SimState
 from .transport import CFLError, advect_density, cfl_number
@@ -167,11 +167,11 @@ def step_once(state: SimState, cfg: SimConfig, dt: float,
     """One coupled step of size dt from the given state. If `info` is
     given, it receives step_momentum's CG entries and the wall time in
     seconds of each stage: `t_transport`, `t_director`, `t_force` and
-    `t_momentum`. The velocity's derivative pass
-    (momentum.velocity_terms) counts in `t_transport` when the density
-    varies, since the foot points take it first and the momentum step reads
-    it after them. A constant density is transported to itself, so the
-    pass then counts in `t_momentum`."""
+    `t_momentum`. The velocity's derivative bundle
+    (momentum.velocity_derivatives) is made by the momentum step that
+    makes the velocity, so it counts in `t_momentum`; the foot points and
+    the momentum right side of the next step read it, and that right side
+    drops it."""
     info = {} if info is None else info
     t0 = perf_counter()
     rho1 = advect_density(state.rho, state.u, dt, cfl_limit=cfg.cfl)
@@ -204,7 +204,7 @@ def _sample(state: SimState, cfg: SimConfig, mon: RunMonitors, dt: float
     ke = kinetic_energy(rho, u)
     n = diag.director_norms(d)
     gd2, hess = n.grad_l2_sq, n.hess_l2_sq
-    ux, uy = velocity_gradient(u)
+    ux, uy, _ = velocity_derivatives(u)
     grad_u = integral(g, ux * ux + uy * uy)
     energy = ke + gd2
     drift_q2 = (abs(diag.density_deviation(rho, cfg.rho_bar) - mon.rho0_q2)
@@ -217,8 +217,9 @@ def _sample(state: SimState, cfg: SimConfig, mon: RunMonitors, dt: float
     prev = mon.prev
     if prev is not None and state.t > prev.t:
         span = state.t - prev.t
-        a1, a2 = acceleration_arrays(u, prev.u, span, zip(ux, uy))
-        rho_udot = integral(g, rho.values * (a1**2 + a2**2))
+        a = (u.as_array() - prev.u.as_array()) / span
+        a += advection(u)
+        rho_udot = integral(g, rho.values * (a[0]**2 + a[1]**2))
         dtd = (d.as_array() - prev.d.as_array()) / span
         dt_h1 = integral(g, dtd * dtd)
         # a difference of constants has no gradient
@@ -293,11 +294,13 @@ def simulate(cfg: SimConfig, state: SimState | None = None,
              write_files: bool = True) -> RunResult:
     """Run from t = state.t (or the scenario's initial data) to cfg.t_end.
 
-    Fixed dt when cfg.dt is set; otherwise the step adapts to the CFL target
-    with cfl * min(dx, dy) as the quiescent-flow reference. Passing the state
-    and monitors of an earlier segment resumes that run: accumulators carry
-    over and the initial record is not re-emitted. summary.json is strict
-    JSON: non-finite values are written as null.
+    Fixed dt when cfg.dt is set, with the last step shortened to end at
+    t_end when a full one would pass it; otherwise the step adapts to the
+    CFL target with cfl * min(dx, dy) as the quiescent-flow reference, and
+    is capped to end at t_end as well. Passing the state and monitors of
+    an earlier segment resumes that run: accumulators carry over and the
+    initial record is not re-emitted. summary.json is strict JSON:
+    non-finite values are written as null.
 
     summary["timing"] holds the wall time in seconds of this call up to the
     end of stepping (`t_wall`, file writes excluded) and its sums per stage:
@@ -336,7 +339,9 @@ def simulate(cfg: SimConfig, state: SimState | None = None,
                                   monitors, cfg.dt or dt_ref))
         while state.t < cfg.t_end - eps:
             if cfg.dt is not None:
-                dt = cfg.dt
+                dt, t_next = cfg.dt, t_origin + (state.step + 1) * cfg.dt
+                if t_next > cfg.t_end + eps:  # a full step would pass t_end
+                    dt, t_next = cfg.t_end - state.t, cfg.t_end
             else:
                 nu = cfl_number(state.u, 1.0)
                 dt = cfg.cfl / nu if nu > 0.0 else dt_ref
@@ -348,7 +353,7 @@ def simulate(cfg: SimConfig, state: SimState | None = None,
             info: dict = {}
             state = step_once(state, cfg, dt, info)
             if cfg.dt is not None:
-                state.t = t_origin + state.step * cfg.dt
+                state.t = t_next
             monitors.max_cg_iterations = max(monitors.max_cg_iterations,
                                              info.get("cg_iterations", 0))
             monitors.max_cg_residual = max(monitors.max_cg_residual,
@@ -366,9 +371,6 @@ def simulate(cfg: SimConfig, state: SimState | None = None,
         if isinstance(exc, ConvergenceError):
             monitors.max_cg_iterations = max(monitors.max_cg_iterations,
                                              exc.iterations)
-        # the failed step may have left its memos on the velocity it
-        # stepped from, which the result returns
-        drop_memos(state.u)
 
     timing["t_wall"] = perf_counter() - start
     faults = None if faults0 is None else _minor_faults() - faults0

@@ -2,7 +2,7 @@
 
 Characteristics are traced backward to the second-order Taylor departure
 point x - dt (u - (dt/2) (u . grad)u) (Staniforth & Cote, Mon. Wea. Rev.
-119, 1991), whose (u . grad)u the momentum step reads as well, and the
+119, 1991), with (u . grad)u from the velocity's derivative bundle, and the
 density is read at the foot points with a monotonicity-limited bicubic
 interpolant, so the update obeys a discrete maximum principle exactly: every
 output value lies in [min(input), max(input)].
@@ -10,7 +10,6 @@ output value lies in [min(input), max(input)].
 A constant density is its own transport, as rho_t + u . grad(rho) = 0
 says: the limited read of a constant is that constant bitwise, so such a
 density skips the foot points and the gather and is returned as it is.
-The velocity's derivative pass then runs in the momentum step instead.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import Grid2D, ScalarField2D, VectorField2D
-from .momentum import velocity_terms
+from .momentum import advection
 
 
 class CFLError(RuntimeError):
@@ -92,11 +91,11 @@ def foot_points(u: VectorField2D, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Backward characteristic feet in fractional index coordinates, by the
     second-order Taylor departure point x - dt (u - (dt/2) (u . grad)u).
 
-    (u . grad)u comes from momentum.velocity_terms, so this call seeds the
-    pair that the momentum step of the same step reads.
+    (u . grad)u comes from momentum.advection, which reads u's derivative
+    bundle.
     """
     g = u.grid
-    adv, _ = velocity_terms(u)
+    adv = advection(u)
     I = np.arange(g.nx, dtype=float)[None, :]
     J = np.arange(g.ny, dtype=float)[:, None]
     return (I - (dt / g.dx) * (u.u1.values - (0.5 * dt) * adv[0]),
@@ -112,10 +111,9 @@ def advect_density(rho: ScalarField2D, u: VectorField2D, dt: float,
     nonnegative densities stay nonnegative and vacuum is preserved.
 
     A constant density (rho.is_constant) passes the same checks and is
-    then returned itself, with no foot points and no gather, and so without
-    seeding momentum.velocity_terms on u. The general path would give it
-    bitwise: the limiter clips each read to the min/max of its four
-    corners.
+    then returned itself, with no foot points and no gather. The general
+    path would give it bitwise: the limiter clips each read to the min/max
+    of its four corners.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")

@@ -319,10 +319,12 @@ class TestConstantField:
 
 
 # numpy.fft calls per call of each derivative helper: one forward transform
-# of the stacked velocity (or of the scalar), and one inverse per output
+# of the stacked velocity (or of the scalar), and one inverse per output;
+# material_derivative reads the velocity's derivative bundle, which a
+# velocity without one gets from one order-2 pass (dx, dy and lap)
 HELPER_TRANSFORMS = {
     "divergence": (lambda u, f: divergence(u), 2),
-    "material_derivative": (lambda u, f: material_derivative(u, u, 0.1), 3),
+    "material_derivative": (lambda u, f: material_derivative(u, u, 0.1), 4),
     "velocity_grad_l2_sq": (lambda u, f: velocity_grad_l2_sq(u), 1),
     "grad_l2": (lambda u, f: grad_l2(f), 1),
 }

@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import platform
+import re
 import warnings
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from nematic2d import (Grid2D, RunMonitors, ScalarField2D, SimConfig,
 from nematic2d import diagnostics, simulation
 from nematic2d.cli import main as cli_main
 from nematic2d.io import CSV_COLUMNS
-from nematic2d.momentum import _SPECTRUM, _TERMS
+from nematic2d.momentum import _BUNDLE, velocity_derivatives
 from nematic2d.simulation import (STEP_STAGES, _sample, energy_slack,
                                   keep_heap_pages)
 
@@ -62,6 +63,16 @@ out_dir = runs/demo
         path.write_text("nx = 32\nviscosity = 2.0\n")
         with pytest.raises(ValueError, match="viscosity"):
             parse_config(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("nx = 64.0", "nx expects an integer"),
+        ("dt = fast", "dt expects a number")])
+    def test_bad_number_names_its_line(self, tmp_path, line, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"# grid\n{line}\n")
+        with pytest.raises(ValueError) as exc:
+            parse_config(path)
+        assert str(exc.value) == f"{path}:2: {message}"
 
     def test_defaults_apply(self, tmp_path):
         path = tmp_path / "min.cfg"
@@ -142,6 +153,17 @@ class TestCsv:
         assert any("energy law" in v for v in replay_csv(bad))
 
 
+    @pytest.mark.parametrize("text, where", [
+        ("", ""), (",".join(CSV_COLUMNS) + "\n0.0,1.0\n", ":2"),
+        (",".join(CSV_COLUMNS) + "\n" + ",".join(["x"] * 15) + "\n", ":2")])
+    def test_malformed_file_raises_value_error_naming_it(self, tmp_path,
+                                                          text, where):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}{where}:"):
+            read_csv(path)
+
+
 class TestSnapshot:
     def test_lossless_round_trip(self, tmp_path):
         g = Grid2D(32, 48, 1.0, 2.0)
@@ -169,6 +191,20 @@ class TestSnapshot:
         path = tmp_path / "junk.nlc2"
         path.write_bytes(b"XXXX" + bytes(100))
         with pytest.raises(ValueError):
+            read_snapshot(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda raw: raw[:6],  # a header cut short
+        lambda raw: raw[:-3],  # a payload that is not whole values
+        lambda raw: raw[:8] + bytes(4) + raw[12:],  # nx = 0
+        lambda raw: raw[:-8] + np.float64(np.nan).tobytes()])
+    def test_malformed_file_raises_value_error_naming_it(self, tmp_path,
+                                                         edit):
+        path = tmp_path / "s.nlc2"
+        write_snapshot(path, make_scenario("rest", {},
+                                           Grid2D(8, 8, 1.0, 1.0)))
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}"):
             read_snapshot(path)
 
 
@@ -252,6 +288,18 @@ class TestRestRun:
             assert rec.ke == 0.0
 
 
+class TestFixedStep:
+    def test_last_step_ends_at_t_end(self):
+        # 0.01 is not a multiple of 0.003: the fourth step is shortened to
+        # 0.001 instead of running on to 0.012
+        cfg = SimConfig(nx=16, ny=16, dt=0.003, t_end=0.01,
+                        scenario="taylor-green")
+        res = simulate(cfg, write_files=False)
+        assert res.summary["steps"] == 4
+        assert res.summary["t_final"] == 0.01
+        assert len(res.records) == 5 and res.records[-1].t == 0.01
+
+
 class TestFailureOutcomes:
     def test_cfl_breach_is_logged_not_raised(self, tmp_path):
         cfg = SimConfig(nx=32, ny=32, dt=0.05, t_end=1.0,
@@ -293,25 +341,32 @@ class TestFailureOutcomes:
         assert (tmp_path / "o" / "summary.json").exists()
 
     @pytest.mark.parametrize("cfg, cause", [
-        # the director step fails (at step 15) after the transport seeded
-        # the velocity terms
+        # the director step fails (at step 15) after the transport read the
+        # velocity's bundle
         (SimConfig(nx=32, ny=32, dt=0.01, t_end=0.2, scenario="supercritical",
                    scenario_params={"w_max": 3.0, "vortex_amp": 0.0,
                                     "sigma_frac": 0.05}),
          "DegenerateDirectorError"),
-        # the sample fails while the velocity still keeps its spectrum
+        # the sample fails after the momentum step seeded the bundle
         (SimConfig(nx=16, ny=16, dt=1e-3, t_end=5e-3, cfl=1e300,
                    scenario="vacuum-bubble",
                    scenario_params={"vortex_amp": 1e6}),
          "NonFiniteError"),
-    ])
-    def test_failed_run_keeps_no_memos_on_its_velocity(self, cfg, cause):
+    ], ids=["director-step", "sample"])
+    def test_failed_run_keeps_its_velocity_bundle(self, cfg, cause):
+        # the returned velocity keeps its derivative bundle, as a completed
+        # run's does, and the bundle is that velocity's own
         with np.errstate(all="ignore"):
             res = simulate(cfg, write_files=False)
-        assert res.summary["failure"]["cause"] == cause
-        assert res.summary["failure"]["step"] > 0
-        assert _TERMS not in vars(res.state.u)
-        assert _SPECTRUM not in vars(res.state.u)
+            u = res.state.u
+            assert res.summary["failure"]["cause"] == cause
+            assert res.summary["failure"]["step"] > 0
+            assert _BUNDLE in vars(u)
+            fresh = velocity_derivatives(
+                VectorField2D.from_arrays(u.grid, *u.as_array()))
+            for kept, want in zip(velocity_derivatives(u), fresh):
+                scale = np.abs(want).max()
+                assert np.abs(kept - want).max() <= 1e-12 * scale
 
     def test_summary_is_strict_json(self, tmp_path):
         # the smallness value overflows to inf, which strict JSON has no
@@ -523,6 +578,23 @@ class TestCli:
         assert out.read_bytes().startswith(b"P5\n32 32\n")
         assert cli_main(["render", str(snap), "bogus", str(out)]) == 2
 
+    def test_malformed_inputs_exit_with_an_error(self, tmp_path, capsys):
+        # each used to end in a traceback: struct.error, IndexError and an
+        # int() ValueError without the file
+        snap, csv = tmp_path / "s.nlc2", tmp_path / "d.csv"
+        cfg = tmp_path / "r.cfg"
+        snap.write_bytes(b"NLC2\x01\x00")
+        csv.write_text("")
+        cfg.write_text("nx = 64.0\n")
+        assert cli_main(["render", str(snap), "rho",
+                         str(tmp_path / "o.pgm")]) == 2
+        assert cli_main(["replay", str(csv)]) == 2
+        assert cli_main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 3
+        assert str(snap) in err[0] and str(csv) in err[1]
+        assert err[2] == f"error: {cfg}:1: nx expects an integer"
+
     def test_check_inequalities_subcommand(self, tmp_path, capsys):
         out = tmp_path / "ineq.csv"
         code = cli_main(["check-inequalities", "--family", "gaussian",
@@ -555,9 +627,10 @@ class TestTransformBudget:
     director is transformed once: RunMonitors.fresh (or the scenario) and
     then ericksen_stress seed its derivative bundle, which the Serrin
     update, the samples and the next director step read. A constant
-    director, vacuum-bubble's, is not transformed at all. A velocity that
-    step_momentum returned keeps its half spectrum, so neither the sample
-    nor the next step transforms it forward."""
+    director, vacuum-bubble's, is not transformed at all. The velocity has
+    the same rule: step_momentum seeds its derivative bundle from the half
+    spectrum it holds, with three inverse transforms, and the sample and
+    the next step read it, so neither transforms that velocity again."""
 
     @pytest.mark.parametrize("scenario",
                              ["angle-condition", "vacuum-bubble",
@@ -597,21 +670,20 @@ class TestTransformBudget:
         step, stress, norms = (0, 0, 0) if constant else (6, 12, 6)
         n, mon = cost(RunMonitors.fresh, cfg, state)
         assert n <= (0 if constant else 9)
-        # the first sample transforms the initial velocity forward
-        assert cost(_sample, state, cfg, mon, cfg.dt)[0] <= 3 + norms
+        # the first sample makes the initial velocity's bundle: one
+        # order-2 pass, one forward and three inverse transforms
+        assert cost(_sample, state, cfg, mon, cfg.dt)[0] <= 4 + norms
         info = {}
         n, state = cost(step_once, state, cfg, cfg.dt, info)
         assert (info["cg_iterations"] == 0) is (scenario == "angle-condition")
-        # the velocity's derivative pass takes 4, in the transport stage
-        # when the density varies and in the momentum stage when not
-        assert n <= 4 + step + stress + momentum(info["cg_iterations"])
+        # the step reads that bundle, and the momentum step seeds the new
+        # velocity's with three inverse transforms
+        assert n <= 3 + step + stress + momentum(info["cg_iterations"])
         assert cost(mon.serrin.update, state.d, cfg.dt)[0] == 0
-        # later samples add the time derivatives against the previous one,
-        # one transform of d_t unless both directors are constant, and read
-        # grad(u) from the kept spectrum
+        # later samples read grad(u) and (u . grad)u from the bundle and
+        # add one transform of d_t, unless both directors are constant
         n = cost(_sample, state, cfg, mon, cfg.dt)[0]
-        assert n <= 2 + norms + (0 if constant else 1)
-        # a stepped velocity's derivative pass makes no forward transform
+        assert n <= norms + (0 if constant else 1)
         n, state = cost(step_once, state, cfg, cfg.dt, info)
         assert n <= 3 + step + stress + momentum(info["cg_iterations"])
         assert staged == {"director_norms": [norms] * 2,

@@ -6,15 +6,15 @@ import pytest
 import nematic2d.momentum
 import nematic2d.simulation
 import nematic2d.transport
-from nematic2d import (ConvergenceError, Grid2D, ScalarField2D, SimConfig,
-                       VectorField2D, advect_density, divergence,
+from nematic2d import (ConvergenceError, Grid2D, RunMonitors, ScalarField2D,
+                       SimConfig, VectorField2D, advect_density, divergence,
                        initial_state, kinetic_energy, lp_norm,
                        material_derivative, simulate, step_momentum,
                        step_once, vector_lp_norm, velocity_from_stream)
 from nematic2d.diagnostics import velocity_grad_l2_sq
 from nematic2d.fields import apply_multiplier, solenoidal_arrays
-from nematic2d.momentum import (_SPECTRUM, _TERMS, velocity_gradient,
-                                velocity_terms)
+from nematic2d.momentum import _BUNDLE, advection, velocity_derivatives
+from nematic2d.simulation import _sample
 
 from helpers import (band_limited_field, count_transforms, momentum_system,
                      reference_pcg)
@@ -239,11 +239,11 @@ class TestCgSolve:
 
 
 class TestVelocityTerms:
-    """A step takes the velocity's derivatives once: when the density
-    varies, the transport's foot points seed (u . grad)u and lap(u) on the
-    velocity, and the momentum step reads them and drops them before its
-    solve. A constant density needs no foot points, so the momentum step
-    computes the pair itself."""
+    """A step reads the velocity's derivatives from its one bundle
+    (velocity_derivatives). A velocity without one, such as an initial
+    velocity, gets it on first request: from the transport's foot points
+    when the density varies, from the momentum right side otherwise. The
+    right side is the bundle's last reader and drops it."""
 
     def test_step_once_gathers_once(self, monkeypatch):
         gathers, seeded = [], []
@@ -255,7 +255,7 @@ class TestVelocityTerms:
             return real(*args, **kwargs)
 
         def right_side(rv, u, force, dt):
-            seeded.append(_TERMS in vars(u))
+            seeded.append(_BUNDLE in vars(u))
             return real_right_side(rv, u, force, dt)
 
         monkeypatch.setattr(nematic2d.transport, "sample_bicubic", spy)
@@ -270,8 +270,7 @@ class TestVelocityTerms:
             # the density read alone, or nothing for a constant density
             assert len(gathers) == gathered
             assert all(v is state.rho.values for v in gathers)
-            # the momentum step computes the pair itself when nothing
-            # gathered
+            # the right side makes the bundle itself when nothing gathered
             assert seeded == [gathered == 1]
             assert (new.rho is state.rho) is (gathered == 0)
 
@@ -280,21 +279,21 @@ class TestVelocityTerms:
         state = initial_state(cfg)
         u = state.u
         advect_density(state.rho, u, cfg.dt)
-        assert _TERMS in vars(u)
+        assert _BUNDLE in vars(u)
         calls = count_transforms(monkeypatch)
-        terms = velocity_terms(u)
+        bundle = velocity_derivatives(u)
         assert calls["fft"] == 0
-        assert terms is velocity_terms(u)
+        assert bundle is velocity_derivatives(u)
         new = step_once(state, cfg, cfg.dt)
-        assert _TERMS not in vars(u)
-        assert _TERMS not in vars(new.u)
+        assert _BUNDLE not in vars(u)
+        assert _BUNDLE in vars(new.u)  # seeded by the momentum step
 
     def test_seeded_and_fresh_steps_are_bitwise_equal(self, grid,
                                                       monkeypatch):
         rho, force = vacuum_disk_density(grid), random_force(grid, 2.0)
         u = small_vortex(grid, 0.3)
         copy = VectorField2D.from_arrays(grid, *u.as_array())
-        velocity_terms(u)
+        advection(u)  # seeds the bundle, as the step's foot points do
         calls = count_transforms(monkeypatch)
         seeded = step_momentum(rho, u, force, 1e-3)
         n_seeded = calls["fft"]
@@ -302,7 +301,27 @@ class TestVelocityTerms:
         # the fresh step adds the order-2 pass: one forward, three inverse
         assert calls["fft"] - n_seeded == n_seeded + 4
         assert np.array_equal(seeded.as_array(), fresh.as_array())
-        assert _TERMS not in vars(u) and _TERMS not in vars(copy)
+        for a, b in zip(velocity_derivatives(seeded),
+                        velocity_derivatives(fresh)):
+            assert np.array_equal(a, b)
+
+    def test_right_side_drops_the_bundle(self, grid):
+        rho, u = vacuum_disk_density(grid), small_vortex(grid, 0.3)
+        velocity_derivatives(u)
+        nematic2d.momentum._right_side(rho.values, u,
+                                       VectorField2D.zeros(grid), 1e-3)
+        assert _BUNDLE not in vars(u)
+
+    def test_advection_is_the_convective_derivative(self, grid):
+        X, Y = grid.meshgrid()
+        k = 2.0 * np.pi
+        # u = (sin kx sin ky, cos kx cos ky): (u . grad)u is
+        # (k sin kx cos kx, -k sin ky cos ky)
+        u = VectorField2D.from_arrays(grid, np.sin(k * X) * np.sin(k * Y),
+                                      np.cos(k * X) * np.cos(k * Y))
+        want = np.stack([k * np.sin(k * X) * np.cos(k * X),
+                         -k * np.sin(k * Y) * np.cos(k * Y)])
+        assert np.abs(advection(u) - want).max() <= 1e-12 * k
 
 
 def relative_error(a, want):
@@ -321,27 +340,30 @@ class TestDirectSolve:
             apply_a, apply_minv, np.zeros(grid.shape), b, 1e-10, 500)
         assert iters == 1  # A = M: the preconditioner solves it at once
         want, _ = solenoidal_arrays(grid, x)
-        velocity_terms(u)  # seeded, as by the step's transport
+        advection(u)  # seeds the bundle, as the step's foot points do
         calls = count_transforms(monkeypatch)
         info = {}
         got = step_momentum(rho, u, force, dt, info=info)
         assert relative_error(got.as_array(), want) <= 1e-12
         assert info == {"cg_iterations": 0, "cg_residual": 0.0}
-        assert calls["fft"] == 2
-        assert calls["rfft2"] == calls["irfft2"] == 1
+        # one transform pair for the solve, and three inverse transforms
+        # that seed the new velocity's bundle from its half spectrum
+        assert calls["fft"] == 5
+        assert calls["rfft2"] == 1 and calls["irfft2"] == 4
 
 
 class TestKeptSpectrum:
-    """The velocity step_momentum returns keeps its half spectrum: the
-    sample reads it for grad(u), and the next step's velocity_terms reads
-    and drops it, so no pass transforms that velocity forward again."""
+    """The velocity that step_momentum returns carries the derivative
+    bundle of the half spectrum it was made from, taken with inverse
+    transforms only: the foot points, the sample and the next right side
+    read it, so no pass transforms that velocity forward again."""
 
     @pytest.mark.parametrize("density", [
         lambda g: ScalarField2D.full(g, 1.0), vacuum_disk_density])
     def test_seeded_and_fresh_steps_agree(self, grid, density, monkeypatch):
         rho, force = density(grid), random_force(grid, 2.0)
         u = step_momentum(rho, small_vortex(grid, 0.3), force, 1e-3)
-        assert _SPECTRUM in vars(u)
+        assert _BUNDLE in vars(u)
         copy = VectorField2D.from_arrays(grid, *u.as_array())
         calls = count_transforms(monkeypatch)
         seeded = step_momentum(rho, u, force, 1e-3)
@@ -350,19 +372,32 @@ class TestKeptSpectrum:
         # the fresh step adds the forward transform of its velocity pass
         assert calls["rfft2"] - n_seeded == n_seeded + 1
         assert relative_error(seeded.as_array(), fresh.as_array()) <= 1e-13
-        assert _SPECTRUM not in vars(u) and _TERMS not in vars(u)
+        assert _BUNDLE not in vars(u)
 
-    def test_gradient_reads_and_keeps_the_spectrum(self, grid, monkeypatch):
+    def test_bundle_is_seeded_from_the_spectrum(self, grid, monkeypatch):
         rho = vacuum_disk_density(grid)
         u = step_momentum(rho, small_vortex(grid, 0.3),
                           VectorField2D.zeros(grid), 1e-3)
         copy = VectorField2D.from_arrays(grid, *u.as_array())
         calls = count_transforms(monkeypatch)
-        kept = velocity_gradient(u)
-        assert calls["rfft2"] == 0 and calls["irfft2"] == 2
-        assert _SPECTRUM in vars(u)
-        for a, b in zip(kept, velocity_gradient(copy)):
+        kept = velocity_derivatives(u)
+        assert calls["fft"] == 0
+        fresh = velocity_derivatives(copy)
+        assert calls["rfft2"] == 1 and calls["irfft2"] == 3
+        for a, b in zip(kept, fresh):
             assert relative_error(a, b) <= 1e-12
+
+    def test_a_later_sample_makes_no_velocity_transform(self, monkeypatch):
+        # vacuum-bubble's director is constant and takes no transform, so
+        # any transform of the sample would be the velocity's
+        cfg = SimConfig(nx=32, ny=32, dt=1e-3, scenario="vacuum-bubble")
+        state = initial_state(cfg)
+        mon = RunMonitors.fresh(cfg, state)
+        _sample(state, cfg, mon, cfg.dt)
+        state = step_once(state, cfg, cfg.dt)
+        calls = count_transforms(monkeypatch)
+        _sample(state, cfg, mon, cfg.dt)
+        assert calls["fft"] == 0
 
     @pytest.mark.parametrize("scenario", ["vacuum-bubble", "angle-condition"])
     def test_no_forward_transform_of_a_stepped_velocity(self, scenario,

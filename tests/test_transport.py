@@ -4,7 +4,7 @@ import pytest
 import nematic2d.transport
 from nematic2d import (CFLError, Grid2D, ScalarField2D, VectorField2D,
                        advect_density, cfl_number, density_deviation)
-from nematic2d.momentum import _TERMS
+from nematic2d.momentum import _BUNDLE
 from nematic2d.transport import foot_points, sample_bicubic
 
 from helpers import catmull_rom_read, count_transforms, solenoidal_field
@@ -129,7 +129,7 @@ class TestConstantDensity:
         calls = count_transforms(monkeypatch)
         assert advect_density(rho, u, 5e-3) is rho
         assert gathers == [] and calls["fft"] == 0
-        assert _TERMS not in vars(u)  # the momentum step takes the pass
+        assert _BUNDLE not in vars(u)  # no foot points read the velocity
 
     def test_keeps_the_input_checks(self):
         g = Grid2D(32, 32, 1.0, 1.0)
