@@ -9,6 +9,7 @@ from pathlib import Path
 
 from .diagnostics import SerrinExponents
 from .fields import Grid2D
+from .scenarios import check_param
 
 _FLOAT_KEYS = {"lx", "ly", "dt", "cfl", "t_end", "rho_bar", "e1", "e2", "e3",
                "serrin_r", "serrin_s", "cg_tol"}
@@ -64,7 +65,8 @@ class SimConfig:
 def parse_config(path: str | Path) -> SimConfig:
     """Read a UTF-8 `key = value` file; unknown keys are errors.
 
-    Scenario parameters use the `scenario.<name>` prefix. Blank lines and
+    Scenario parameters use the `scenario.<name>` prefix and are numbers
+    that scenarios.check_param accepts. Blank lines and
     lines starting with '#' are skipped. `serrin_r = inf` is accepted.
     """
     kwargs: dict = {}
@@ -83,7 +85,16 @@ def parse_config(path: str | Path) -> SimConfig:
             pname = key[len("scenario."):]
             if not pname:
                 raise ValueError(f"{path}:{lineno}: empty scenario parameter")
-            scen[pname] = _parse_scalar(value)
+            try:
+                number = float(value)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {key} expects a number"
+                                 ) from None
+            try:
+                check_param(pname, number)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            scen[pname] = number
         elif key in _FLOAT_KEYS or key in _INT_KEYS:
             integer = key in _INT_KEYS
             try:
@@ -99,10 +110,3 @@ def parse_config(path: str | Path) -> SimConfig:
 
     e = (kwargs.pop("e1", 0.0), kwargs.pop("e2", 0.0), kwargs.pop("e3", 1.0))
     return SimConfig(e=e, scenario_params=scen, **kwargs)
-
-
-def _parse_scalar(value: str):
-    try:
-        return float(value)
-    except ValueError:
-        return value

@@ -11,6 +11,14 @@ Every field is real, so transforms keep the half spectrum of rfft2: shape
 fftfreq order of ky along axis 0. The modes kx = -1 .. -(nx/2 - 1) are the
 complex conjugates of stored ones and are not kept. This module alone knows
 the layout; other modules build multipliers from Grid2D.k2.
+
+Every transform goes through two private helpers, _rfft2 and _irfft2. They
+make the 1-D passes that numpy's rfft2 and irfft2 make, in the same order,
+so their results are bitwise those of rfft2/irfft2, without the n-D
+wrapper's argument handling and with one complex intermediate fewer. The
+inverse's complex pass writes into its input only with overwrite=True,
+which a caller passes for a temporary spectrum that nothing reads again
+(such as 1j * kx * h), never for a spectrum it keeps or returns.
 """
 
 from __future__ import annotations
@@ -208,6 +216,23 @@ class DirectorField2D:
 # ---------------------------------------------------------------------------
 # array-level spectral operators (the field wrappers below defer to these)
 
+def _rfft2(a: np.ndarray) -> np.ndarray:
+    """Half spectrum of real a (..., ny, nx), bitwise equal to
+    np.fft.rfft2(a): the same 1-D passes, rfft along x and then fft along
+    y, without the n-D wrapper, the second pass in place."""
+    h = np.fft.rfft(a)
+    return np.fft.fft(h, axis=-2, out=h)
+
+
+def _irfft2(h: np.ndarray, nx: int, overwrite: bool = False) -> np.ndarray:
+    """Real array (..., ny, nx) whose half spectrum is h, bitwise equal to
+    np.fft.irfft2(h, s=(ny, nx)): ifft along y, then irfft along x. With
+    overwrite, the caller hands h over as a temporary and the ifft pass
+    writes into it; otherwise h is left as it was."""
+    return np.fft.irfft(np.fft.ifft(h, axis=-2, out=h if overwrite else None),
+                        nx)
+
+
 def integral(grid: Grid2D, values: np.ndarray) -> float:
     """Rectangle-rule integral over the box, spectrally accurate for
     smooth periodic integrands."""
@@ -225,12 +250,12 @@ def derivative_arrays(grid: Grid2D, a: np.ndarray | None, order: int = 1,
     one solenoidal_arrays returns), the outputs take inverse transforms
     only and a is not read.
     """
-    s = grid.shape
-    h = np.fft.rfft2(a) if spectrum is None else spectrum
-    out = [np.fft.irfft2(1j * grid.kx * h, s=s),
-           np.fft.irfft2(1j * grid.ky * h, s=s)]
+    nx = grid.nx
+    h = _rfft2(a) if spectrum is None else spectrum
+    out = [_irfft2(1j * grid.kx * h, nx, overwrite=True),
+           _irfft2(1j * grid.ky * h, nx, overwrite=True)]
     if order >= 2:
-        out.append(np.fft.irfft2(-grid.k2 * h, s=s))
+        out.append(_irfft2(-grid.k2 * h, nx, overwrite=True))
     return out
 
 
@@ -241,11 +266,11 @@ def parseval_derivatives(grid: Grid2D, a: np.ndarray,
     lap a at order 2 and int |grad lap a|^2 at order 3. One forward
     transform of a, and one inverse for lap a from order 2 on.
     """
-    h = np.fft.rfft2(a)
+    h = _rfft2(a)
     out = [_gradient_integral(grid, h)]
     if order >= 2:
         h = -grid.k2 * h
-        out.append(np.fft.irfft2(h, s=grid.shape))
+        out.append(_irfft2(h, grid.nx, overwrite=order == 2))
     if order >= 3:
         out.append(_gradient_integral(grid, h))
     return out
@@ -267,9 +292,9 @@ def apply_multiplier(grid: Grid2D, a: np.ndarray, m) -> np.ndarray:
     as a real function of |k|^2 or i times an odd one, so that the result is
     real; the dropped half of the spectrum is implied by that symmetry.
     """
-    h = np.fft.rfft2(a)
+    h = _rfft2(a)
     h *= m
-    return np.fft.irfft2(h, s=grid.shape)
+    return _irfft2(h, grid.nx, overwrite=True)
 
 
 def lp_norm_array(grid: Grid2D, values: np.ndarray, p: float) -> float:
@@ -288,7 +313,7 @@ def _leray_spectrum(grid: Grid2D, a: np.ndarray, m=None):
     """Transform of the divergence-free part of stacked a (2, ny, nx), and
     the coefficient c = (k . a_hat)/|k|^2 with grad(phi)_hat = k c. A
     multiplier m, laid out as in apply_multiplier, acts on a first."""
-    h = np.fft.rfft2(a)
+    h = _rfft2(a)
     if m is not None:
         h *= m
     kx, ky = grid.kx, grid.ky
@@ -308,7 +333,7 @@ def solenoidal_arrays(grid: Grid2D, a: np.ndarray, m=None
     apply_multiplier, w is the divergence-free part of m applied to a, from
     the same one forward and one inverse transform."""
     h = _leray_spectrum(grid, a, m)[0]
-    return np.fft.irfft2(h, s=grid.shape), h
+    return _irfft2(h, grid.nx), h
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +359,9 @@ def laplacian(f: ScalarField2D) -> ScalarField2D:
 
 def divergence(v: VectorField2D) -> ScalarField2D:
     g = v.grid
-    h = np.fft.rfft2(v.as_array())
-    return ScalarField2D(g, np.fft.irfft2(1j * (g.kx * h[0] + g.ky * h[1]),
-                                          s=g.shape))
+    h = _rfft2(v.as_array())
+    return ScalarField2D(g, _irfft2(1j * (g.kx * h[0] + g.ky * h[1]), g.nx,
+                                    overwrite=True))
 
 
 def velocity_from_stream(psi: ScalarField2D) -> VectorField2D:
@@ -354,9 +379,9 @@ def leray_project(v: VectorField2D) -> tuple[VectorField2D, ScalarField2D]:
     """
     g = v.grid
     h, coeff = _leray_spectrum(g, v.as_array())
-    w = np.fft.irfft2(h, s=g.shape)
+    w = _irfft2(h, g.nx)
     return (VectorField2D.from_arrays(g, w[0], w[1]),
-            ScalarField2D(g, np.fft.irfft2(-1j * coeff, s=g.shape)))
+            ScalarField2D(g, _irfft2(-1j * coeff, g.nx, overwrite=True)))
 
 
 TAIL_CUT = 0.5
@@ -370,7 +395,7 @@ def spectral_tail_fraction(f: ScalarField2D) -> float:
     if f.is_constant:
         return 0.0
     g = f.grid
-    fh = np.fft.rfft2(f.values)
+    fh = _rfft2(f.values)
     power = np.abs(fh) ** 2 * g.column_weight
     power[0, 0] = 0.0
     ix = (np.fft.rfftfreq(g.nx) * 2.0)[None, :]  # |kx|/k_nyq in [0, 1]

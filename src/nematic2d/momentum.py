@@ -216,9 +216,11 @@ def kinetic_energy(rho: ScalarField2D, u: VectorField2D) -> float:
 
 
 def material_derivative(u_new: VectorField2D, u_old: VectorField2D,
-                        dt: float) -> VectorField2D:
-    """Acceleration along particle paths: (u_new - u_old)/dt
-    + u_new . grad(u_new), with the advection from u_new's bundle."""
+                        dt: float) -> np.ndarray:
+    """Acceleration along particle paths, (u_new - u_old)/dt
+    + u_new . grad(u_new), as a stacked (2, ny, nx) array, with the
+    advection from u_new's bundle. Not checked for finiteness: the
+    diagnostics sample that reads it validates its record instead."""
     a = (u_new.as_array() - u_old.as_array()) / dt
     a += advection(u_new)
-    return VectorField2D.from_arrays(u_new.grid, a[0], a[1])
+    return a

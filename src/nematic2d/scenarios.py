@@ -9,6 +9,7 @@ divergence-free velocities supported well inside the periodic box.
 from __future__ import annotations
 
 import math
+from numbers import Real
 
 import numpy as np
 
@@ -106,6 +107,31 @@ def _winding_patch(grid: Grid2D, sigma_frac: float,
     return _stereographic(grid, c * wr, c * wi)
 
 
+# every scenario parameter is a finite number; these set a width (as a
+# fraction of the box), which must be positive, or an energy target, which
+# must be nonnegative
+_WIDTHS = {"r0_frac", "r1_frac", "vortex_sigma_frac", "theta_sigma_frac",
+           "sigma_frac"}
+_TARGETS = {"ke_target", "grad_d_sq_target"}
+
+
+def check_param(key: str, value) -> None:
+    """Raise ValueError naming key unless value is a finite number, and a
+    positive one for a width or a nonnegative one for a target."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"scenario parameter {key} must be a number, "
+                         f"got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"scenario parameter {key} must be finite, "
+                         f"got {value!r}")
+    if key in _WIDTHS and not value > 0.0:
+        raise ValueError(f"scenario parameter {key} is a width and must be "
+                         f"positive, got {value!r}")
+    if key in _TARGETS and not value >= 0.0:
+        raise ValueError(f"scenario parameter {key} is a target and must be "
+                         f"nonnegative, got {value!r}")
+
+
 def _require(params: dict, allowed: set[str], name: str) -> None:
     unknown = set(params) - allowed
     if unknown:
@@ -117,10 +143,13 @@ def make_scenario(name: str, params: dict | None, grid: Grid2D,
                   rho_bar: float = 1.0, e=(0.0, 0.0, 1.0)) -> SimState:
     """Build the initial state for a named scenario.
 
-    Raises on unknown scenario names, unknown parameters, and parameter
-    combinations that fail to produce a unit director.
+    Raises on unknown scenario names, unknown parameters, parameters that
+    check_param rejects, and parameter combinations that fail to produce a
+    unit director.
     """
     params = dict(params or {})
+    for key, value in params.items():
+        check_param(key, value)
     e = _unit(e)
     L = min(grid.lx, grid.ly)
     if name == "rest":
@@ -168,7 +197,7 @@ def make_scenario(name: str, params: dict | None, grid: Grid2D,
                 np.cos(theta) * e[1] + np.sin(theta) * p[1],
                 np.cos(theta) * e[2] + np.sin(theta) * p[2])
             measured = director_grad_l2_sq(d)
-            if measured > 0.0 and target > 0.0:
+            if measured > 0.0:
                 theta = theta * math.sqrt(target / measured)
         u = _gaussian_stream_vortex(grid,
                                     params.get("vortex_sigma_frac", 0.12) * L,

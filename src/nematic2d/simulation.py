@@ -28,7 +28,7 @@ from .director import (DegenerateDirectorError, ericksen_stress,
 from .fields import (NonFiniteError, integral, parseval_derivatives,
                      spectral_tail_fraction)
 from .io import export_heatmap, read_csv, write_csv, write_snapshot
-from .momentum import (ConvergenceError, advection, kinetic_energy,
+from .momentum import (ConvergenceError, kinetic_energy, material_derivative,
                        step_momentum, velocity_derivatives)
 from .scenarios import make_scenario
 from .state import SimState
@@ -217,8 +217,7 @@ def _sample(state: SimState, cfg: SimConfig, mon: RunMonitors, dt: float
     prev = mon.prev
     if prev is not None and state.t > prev.t:
         span = state.t - prev.t
-        a = (u.as_array() - prev.u.as_array()) / span
-        a += advection(u)
+        a = material_derivative(u, prev.u, span)
         rho_udot = integral(g, rho.values * (a[0]**2 + a[1]**2))
         dtd = (d.as_array() - prev.d.as_array()) / span
         dt_h1 = integral(g, dtd * dtd)

@@ -11,21 +11,40 @@ from nematic2d.fields import apply_multiplier, derivative_arrays
 
 
 # every transform numpy.fft offers, so that a call routed through any of
-# them counts against a transform budget
+# them is counted
 FFT_FUNCTIONS = ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft",
                  "fft2", "ifft2", "rfft2", "irfft2",
                  "fftn", "ifftn", "rfftn", "irfftn")
+# one call of these is one transform against a budget: the real 1-D pass
+# of each of fields' 2-D transforms (rfft forward, irfft inverse), the
+# other real 1-D passes, and the 2-D and n-D functions
+BUDGETED = tuple(n for n in FFT_FUNCTIONS if n not in ("fft", "ifft"))
 
 
-def count_transforms(monkeypatch):
-    """Counter whose "fft" entry counts the numpy.fft calls made from now
-    until the monkeypatch is undone, and whose entry under each function's
-    name counts that function's calls. numpy's 2-D transforms call the n-D
-    ones inside numpy.fft's own module, so each call counts once."""
-    calls = Counter()
+class TransformCounter(Counter):
+    """numpy.fft calls under each function's name."""
+
+    def assert_paired(self) -> None:
+        """fields makes each 2-D transform from one real 1-D pass and one
+        complex one: fft after rfft, ifft before irfft. Every complex pass
+        must pair with a real one, so that none escapes a budget."""
+        assert (self["fft"] == self["rfft"]
+                and self["ifft"] == self["irfft"]), dict(self)
+
+    def transforms(self) -> int:
+        """2-D transforms made so far, their complex passes paired."""
+        self.assert_paired()
+        return sum(self[name] for name in BUDGETED)
+
+
+def count_transforms(monkeypatch) -> TransformCounter:
+    """Counter of the numpy.fft calls made from now until the monkeypatch
+    is undone. numpy's 2-D transforms call the n-D and 1-D ones inside
+    numpy.fft's own module, so each call counts once, under its own
+    name."""
+    calls = TransformCounter()
     for name in FFT_FUNCTIONS:
         def counted(*args, _real=getattr(np.fft, name), _name=name, **kwargs):
-            calls["fft"] += 1
             calls[_name] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)

@@ -6,9 +6,9 @@ from nematic2d import (Grid2D, ScalarField2D, VectorField2D, divergence,
                        material_derivative, spectral_tail_fraction,
                        vector_lp_norm, velocity_from_stream,
                        velocity_grad_l2_sq)
-from nematic2d.fields import (TAIL_CUT, apply_multiplier, derivative_arrays,
-                              integral, parseval_derivatives,
-                              solenoidal_arrays)
+from nematic2d.fields import (TAIL_CUT, _gradient_integral, _irfft2, _rfft2,
+                              apply_multiplier, derivative_arrays, integral,
+                              parseval_derivatives, solenoidal_arrays)
 from nematic2d.inequalities import grad_l2
 
 from helpers import (band_limited_field, count_transforms, fft2_derivatives,
@@ -257,7 +257,7 @@ class TestHalfSpectrum:
         _, _, k2 = full_wavenumbers(grid)
         calls = count_transforms(monkeypatch)
         w, _ = solenoidal_arrays(grid, data, 1.0 / (3.0 + 0.5 * grid.k2))
-        assert calls["fft"] == 2
+        assert calls.transforms() == 2
         m = 1.0 / (3.0 + 0.5 * k2)
         want = fft2_project(grid, fft2_multiplier(data[0], m),
                             fft2_multiplier(data[1], m))
@@ -301,9 +301,46 @@ class TestHalfSpectrum:
         # FFTs of radix 5 and 7 leave rounding noise in the non-mean modes
         # of a constant, which would read as a tail of up to one half
         f = ScalarField2D.full(Grid2D(n, n, 1.0, 1.0), c)
-        transforms = count_transforms(monkeypatch)
+        calls = count_transforms(monkeypatch)
         assert spectral_tail_fraction(f) == 0.0
-        assert transforms["fft"] == 0
+        assert calls.transforms() == 0
+
+
+class TestTransformPair:
+    """fields' two transforms make the 1-D passes of numpy's rfft2 and
+    irfft2 in their order, so they equal them bitwise; the inverse writes
+    into its input only when handed it with overwrite."""
+
+    @pytest.fixture(params=[(16, 10), (10, 16), (2, 16, 10), (2, 10, 16)],
+                    ids=str)
+    def data(self, request):
+        return np.random.default_rng(59).standard_normal(request.param)
+
+    def test_forward_equals_rfft2(self, data):
+        assert np.array_equal(_rfft2(data), np.fft.rfft2(data))
+
+    @pytest.mark.parametrize("overwrite", [False, True])
+    def test_inverse_equals_irfft2(self, data, overwrite):
+        h = np.fft.rfft2(data)
+        h *= np.random.default_rng(61).standard_normal(h.shape[-2:])
+        kept = h.copy()
+        want = np.fft.irfft2(h, s=data.shape[-2:])
+        got = _irfft2(h, data.shape[-1], overwrite=overwrite)
+        assert got.shape == data.shape
+        assert np.array_equal(got, want)
+        if not overwrite:
+            assert np.array_equal(h, kept)
+
+    def test_order_three_reads_the_kept_laplacian_spectrum(self):
+        # the order-2 inverse transform must not overwrite -k^2 h, which
+        # the order-3 gradient integral reads after it
+        g = Grid2D(16, 10, 1.6, 1.0)
+        a = np.random.default_rng(67).standard_normal((2,) + g.shape)
+        lap_h = -g.k2 * np.fft.rfft2(a)
+        grad, lap, grad_lap = parseval_derivatives(g, a, 3)
+        assert grad == _gradient_integral(g, np.fft.rfft2(a))
+        assert np.array_equal(lap, np.fft.irfft2(lap_h, s=g.shape))
+        assert grad_lap == _gradient_integral(g, lap_h)
 
 
 class TestConstantField:
@@ -318,7 +355,7 @@ class TestConstantField:
         assert not f.is_constant
 
 
-# numpy.fft calls per call of each derivative helper: one forward transform
+# 2-D transforms per call of each derivative helper: one forward transform
 # of the stacked velocity (or of the scalar), and one inverse per output;
 # material_derivative reads the velocity's derivative bundle, which a
 # velocity without one gets from one order-2 pass (dx, dy and lap)
@@ -337,4 +374,4 @@ def test_helper_transform_counts(grid, monkeypatch, name):
     helper, want = HELPER_TRANSFORMS[name]
     calls = count_transforms(monkeypatch)
     helper(u, f)
-    assert calls["fft"] == want
+    assert calls.transforms() == want

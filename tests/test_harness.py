@@ -74,6 +74,22 @@ out_dir = runs/demo
             parse_config(path)
         assert str(exc.value) == f"{path}:2: {message}"
 
+    @pytest.mark.parametrize("line, message", [
+        ("scenario.epsilon = abc", "scenario.epsilon expects a number"),
+        ("scenario.epsilon = nan",
+         "scenario parameter epsilon must be finite, got nan"),
+        ("scenario.vortex_sigma_frac = 0", "scenario parameter "
+         "vortex_sigma_frac is a width and must be positive, got 0.0"),
+        ("scenario.ke_target = -1", "scenario parameter ke_target is a "
+         "target and must be nonnegative, got -1.0")])
+    def test_bad_scenario_parameter_names_its_line(self, tmp_path, line,
+                                                   message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"scenario = small-director\n{line}\n")
+        with pytest.raises(ValueError) as exc:
+            parse_config(path)
+        assert str(exc.value) == f"{path}:2: {message}"
+
     def test_defaults_apply(self, tmp_path):
         path = tmp_path / "min.cfg"
         path.write_text("nx = 32\nny = 32\nt_end = 0.01\n")
@@ -595,6 +611,16 @@ class TestCli:
         assert str(snap) in err[0] and str(csv) in err[1]
         assert err[2] == f"error: {cfg}:1: nx expects an integer"
 
+    def test_non_numeric_scenario_parameter_exits_with_an_error(
+            self, tmp_path, capsys):
+        # used to end in a TypeError traceback from the epsilon range check
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text("nx = 16\nny = 16\nscenario = angle-condition\n"
+                       "scenario.epsilon = abc\n")
+        assert cli_main(["run", str(cfg)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {cfg}:4: scenario.epsilon expects a number"]
+
     def test_check_inequalities_subcommand(self, tmp_path, capsys):
         out = tmp_path / "ineq.csv"
         code = cli_main(["check-inequalities", "--family", "gaussian",
@@ -622,7 +648,7 @@ class TestDemos:
 
 
 class TestTransformBudget:
-    """numpy.fft calls per stage at 32^2, as upper bounds (measured
+    """2-D transforms per stage at 32^2, as upper bounds (measured
     equal): a change that adds a transform to a stage shows here. Each
     director is transformed once: RunMonitors.fresh (or the scenario) and
     then ericksen_stress seed its derivative bundle, which the Serrin
@@ -640,9 +666,9 @@ class TestTransformBudget:
         staged = {}  # transforms of each call of a director stage
 
         def cost(fn, *args):
-            before = calls["fft"]
+            before = calls.transforms()
             out = fn(*args)
-            return calls["fft"] - before, out
+            return calls.transforms() - before, out
 
         def counted(name, fn):
             def wrapper(*args):

@@ -23,6 +23,30 @@ def test_unknown_parameter_rejected(grid):
         make_scenario("rest", {"bogus": 1.0}, grid)
 
 
+@pytest.mark.parametrize("name, key, value, message", [
+    ("angle-condition", "epsilon", "0.5", "must be a number"),
+    ("angle-condition", "epsilon", math.nan, "must be finite"),
+    ("supercritical", "w_max", math.inf, "must be finite"),
+    ("vacuum-bubble", "vortex_sigma_frac", 0.0, "must be positive"),
+    ("vacuum-bubble", "r0_frac", -0.1, "must be positive"),
+    ("small-director", "theta_sigma_frac", -0.1, "must be positive"),
+    ("angle-condition", "sigma_frac", 0.0, "must be positive"),
+    ("small-director", "ke_target", -1.0, "must be nonnegative"),
+    ("small-director", "grad_d_sq_target", -1.0, "must be nonnegative")])
+def test_bad_parameter_value_is_named(grid, name, key, value, message):
+    # a zero width used to divide by zero and fail as a non-finite field,
+    # a negative one was squared away, ke_target = -1 raised a math domain
+    # error and grad_d_sq_target = -1 was ignored
+    with pytest.raises(ValueError, match=f"{key} .*{message}"):
+        make_scenario(name, {key: value}, grid)
+
+
+def test_zero_director_target_gives_the_constant_director(grid):
+    # a zero target used to leave the angle unscaled: |grad d|^2 was 3.14
+    st = make_scenario("small-director", {"grad_d_sq_target": 0.0}, grid)
+    assert st.d.is_constant and director_grad_l2_sq(st.d) == 0.0
+
+
 def test_all_scenarios_satisfy_state_invariants(grid):
     for name in ("rest", "vacuum-bubble", "small-director", "angle-condition",
                  "supercritical", "taylor-green"):
