@@ -156,10 +156,17 @@ class SerrinExponents:
 
 
 def serrin_norm(d: DirectorField2D, r: float) -> float:
-    """L^r norm of the pointwise gradient magnitude |grad d|, from d's
-    memoized bundle (director_derivatives); exactly 0.0 for a constant
-    director, whose bundle holds zero arrays."""
-    return lp_norm_array(d.grid, np.sqrt(director_derivatives(d)[1]), r)
+    """L^r norm of the pointwise gradient magnitude |grad d|, from
+    |grad d|^2 in d's memoized bundle (director_derivatives) without its
+    square root: (int (|grad d|^2)^(r/2))^(1/r), or sqrt(max |grad d|^2)
+    for r = inf. Exactly 0.0 for a constant director, whose bundle holds
+    zero arrays."""
+    if r < 1:
+        raise ValueError("r must be >= 1 or inf")
+    grad_sq = director_derivatives(d)[1]
+    if r == np.inf:
+        return math.sqrt(grad_sq.max())
+    return integral(d.grid, grad_sq ** (0.5 * r)) ** (1.0 / r)
 
 
 @dataclass
@@ -188,7 +195,7 @@ class SampleIntegral:
     """Running sup of one sampled quantity and trapezoid-in-time integral of
     another over the sample times. It carries the small-data director bound
     sup ||grad d||^2 + int ||lap d||^2 <= SMALL_DATA_BOUND, the two parts of
-    the higher-order energy (phi_functional) and the dissipation integral of
+    the higher-order energy phi and the dissipation integral of
     the energy law."""
 
     sup: float = 0.0
@@ -201,38 +208,6 @@ class SampleIntegral:
             t0, b0 = self._prev
             self.integral += 0.5 * (b0 + integrand) * (t - t0)
         self._prev = (t, integrand)
-
-
-# ---------------------------------------------------------------------------
-# higher-order energy, batch form
-
-@dataclass(frozen=True)
-class PhiSample:
-    """One cadence sample of the higher-order energy ingredients, for the
-    batch reference phi_functional (a run accumulates phi in a
-    SampleIntegral). Time derivatives are backward differences against the
-    previous sample and vanish by convention on the first one."""
-
-    t: float
-    grad_u_l2_sq: float
-    grad_d_h1_sq: float       # ||grad d||^2 + ||hess d||^2
-    rho_udot_l2_sq: float     # int rho |udot|^2
-    dt_d_h1_sq: float         # ||d_t||^2 + ||grad d_t||^2
-    hess_d_h1_sq: float       # ||hess d||^2 + ||third derivs||^2
-
-
-def phi_functional(samples: list[PhiSample]) -> float:
-    """e + sup over samples of (||grad u||^2 + ||grad d||_{H1}^2) plus the
-    trapezoid-in-time integral of the dissipation-order terms."""
-    if not samples:
-        return math.e
-    sup = max(s.grad_u_l2_sq + s.grad_d_h1_sq for s in samples)
-    acc = 0.0
-    for a, b in zip(samples, samples[1:]):
-        ga = a.rho_udot_l2_sq + a.dt_d_h1_sq + a.hess_d_h1_sq
-        gb = b.rho_udot_l2_sq + b.dt_d_h1_sq + b.hess_d_h1_sq
-        acc += 0.5 * (ga + gb) * (b.t - a.t)
-    return math.e + sup + acc
 
 
 # ---------------------------------------------------------------------------

@@ -37,16 +37,24 @@ def unit_drift(d: DirectorField2D) -> float:
 def renormalize(d: DirectorField2D) -> DirectorField2D:
     """Divide each node by its Euclidean length; rejects lengths below
     FLOOR."""
-    return _renormalized(d.grid, [c.values for c in d.components])
+    return _renormalized(d.grid, d.as_array())
 
 
 def _renormalized(grid, comps) -> DirectorField2D:
-    norm = np.sqrt(comps[0]**2 + comps[1]**2 + comps[2]**2)
+    """The director of the three arrays comps, each divided by the
+    pointwise length. comps are temporaries handed over by the caller and
+    are divided in place."""
+    norm = comps[0] ** 2
+    norm += comps[1] ** 2
+    norm += comps[2] ** 2
+    np.sqrt(norm, out=norm)
     nmin = norm.min()
     if nmin < FLOOR:
         raise DegenerateDirectorError(
             f"director length {nmin:.3g} below floor {FLOOR:.3g}")
-    return DirectorField2D.from_arrays(grid, *(c / norm for c in comps))
+    for c in comps:
+        c /= norm
+    return DirectorField2D.from_arrays(grid, *comps)
 
 
 # attribute under which a DirectorField2D keeps its first-derivative bundle
@@ -80,7 +88,11 @@ def director_derivatives(d: DirectorField2D, order: int = 1):
     else:
         # per component: a stacked (3, ny, nx) pass measured slower to set up
         ders = [derivative_arrays(g, c.values, order) for c in d.components]
-        grad_sq = sum(x[0] * x[0] + x[1] * x[1] for x in ders)
+        grad_sq, sq = np.zeros(g.shape), np.empty(g.shape)
+        for x in ders:
+            term = x[0] * x[0]
+            term += np.multiply(x[1], x[1], out=sq)
+            grad_sq += term
     object.__setattr__(d, _BUNDLE, ([(x[0], x[1]) for x in ders], grad_sq))
     return ders, grad_sq
 
@@ -111,15 +123,20 @@ def step_director(d: DirectorField2D, u: VectorField2D,
         raise ValueError("director and velocity grids differ")
     g = d.grid
     if d.is_constant:
-        star = [c.values for c in d.components]
+        star = d.as_array()
     else:
         grads, grad_sq = director_derivatives(d)
         u1, u2 = u.u1.values, u.u2.values
         inv = 1.0 / (1.0 + dt * g.k2)
-        star = []
+        star, tmp = [], np.empty(g.shape)
         for comp, (gx, gy) in zip(d.components, grads):
-            rhs = comp.values + dt * (-(u1 * gx + u2 * gy)
-                                      + grad_sq * comp.values)
+            # c + dt (-(u1 gx + u2 gy) + |grad d|^2 c), in place
+            rhs = u1 * gx
+            rhs += np.multiply(u2, gy, out=tmp)
+            np.negative(rhs, out=rhs)
+            rhs += np.multiply(grad_sq, comp.values, out=tmp)
+            rhs *= dt
+            rhs += comp.values
             star.append(apply_multiplier(g, rhs, inv))
     vars(d).pop(_BUNDLE, None)
     return _renormalized(g, star)
@@ -137,6 +154,10 @@ def ericksen_stress(d: DirectorField2D) -> VectorField2D:
     so its force is exactly zero, without a transform.
     """
     ders, _ = director_derivatives(d, order=2)
-    f1 = sum(gx * lap for gx, _, lap in ders)
-    f2 = sum(gy * lap for _, gy, lap in ders)
-    return VectorField2D.from_arrays(d.grid, f1, f2)
+    g = d.grid
+    f = np.zeros((2,) + g.shape)
+    tmp = np.empty(g.shape)
+    for gx, gy, lap in ders:
+        f[0] += np.multiply(gx, lap, out=tmp)
+        f[1] += np.multiply(gy, lap, out=tmp)
+    return VectorField2D.from_arrays(g, f[0], f[1])

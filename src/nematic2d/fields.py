@@ -12,13 +12,26 @@ fftfreq order of ky along axis 0. The modes kx = -1 .. -(nx/2 - 1) are the
 complex conjugates of stored ones and are not kept. This module alone knows
 the layout; other modules build multipliers from Grid2D.k2.
 
-Every transform goes through two private helpers, _rfft2 and _irfft2. They
-make the 1-D passes that numpy's rfft2 and irfft2 make, in the same order,
-so their results are bitwise those of rfft2/irfft2, without the n-D
-wrapper's argument handling and with one complex intermediate fewer. The
-inverse's complex pass writes into its input only with overwrite=True,
-which a caller passes for a temporary spectrum that nothing reads again
-(such as 1j * kx * h), never for a spectrum it keeps or returns.
+Every transform is made from numpy's 1-D passes: an x-pass is rfft or irfft
+along x, a y-pass is fft or ifft along y, and a stacked call over k fields
+counts as k passes. half_spectrum and _irfft2 make the passes numpy's rfft2
+and irfft2 make, in the same order, so their results are bitwise those of
+rfft2/irfft2, without the n-D wrapper's argument handling and with one
+complex intermediate fewer. The inverse's y-pass writes into its input only
+with overwrite=True, which a caller passes for a temporary spectrum that
+nothing reads again (such as 1j * kx * h), never for a spectrum it keeps or
+returns.
+
+The x-derivative's multiplier depends on kx alone, so it commutes with the
+y-passes: gradient_and_spectrum takes dx a = irfft(1j kx rfft(a)) from the
+x-pass alone, before the y-pass that completes the half spectrum, and
+values_and_gradient reads a and dx a from one y-pass of a kept spectrum.
+Passes per call on real a: 5 for [dx, dy] (rfft, irfft; fft; ifft, irfft),
+7 with lap (derivative_arrays at order 2), 4 for apply_multiplier. From a
+kept spectrum h, values_and_gradient makes 5 (ifft, irfft, irfft; ifft,
+irfft). Nobody writes into a kept spectrum, such as the half spectrum a
+velocity's derivative bundle holds: the passes that read it write into
+temporaries only.
 """
 
 from __future__ import annotations
@@ -92,6 +105,20 @@ class Grid2D:
         ky = 2.0 * np.pi * np.fft.fftfreq(self.ny, d=self.dy)
         return (kx**2)[None, :] + (ky**2)[:, None]
 
+    # |k|^2 of the first-derivative kx/ky (Nyquist dropped), which the
+    # Leray projection divides by, its zero modes and a safe divisor
+    @cached_property
+    def grad_k2(self) -> np.ndarray:
+        return self.kx**2 + self.ky**2
+
+    @cached_property
+    def grad_k2_zero(self) -> np.ndarray:
+        return self.grad_k2 == 0.0
+
+    @cached_property
+    def grad_k2_divisor(self) -> np.ndarray:
+        return np.where(self.grad_k2_zero, 1.0, self.grad_k2)
+
     # Parseval weight of each half-spectrum column: columns 1 .. nx/2 - 1
     # stand for themselves and their conjugate modes
     @cached_property
@@ -104,7 +131,7 @@ class Grid2D:
     # of first derivatives (Nyquist dropped)
     @cached_property
     def gradient_weight(self) -> np.ndarray:
-        return ((self.kx**2 + self.ky**2) * self.column_weight
+        return (self.grad_k2 * self.column_weight
                 * (self.cell_area / (self.nx * self.ny)))
 
 
@@ -216,7 +243,7 @@ class DirectorField2D:
 # ---------------------------------------------------------------------------
 # array-level spectral operators (the field wrappers below defer to these)
 
-def _rfft2(a: np.ndarray) -> np.ndarray:
+def half_spectrum(a: np.ndarray) -> np.ndarray:
     """Half spectrum of real a (..., ny, nx), bitwise equal to
     np.fft.rfft2(a): the same 1-D passes, rfft along x and then fft along
     y, without the n-D wrapper, the second pass in place."""
@@ -239,23 +266,48 @@ def integral(grid: Grid2D, values: np.ndarray) -> float:
     return float(values.sum() * grid.cell_area)
 
 
-def derivative_arrays(grid: Grid2D, a: np.ndarray | None, order: int = 1,
-                      spectrum: np.ndarray | None = None) -> list[np.ndarray]:
+def real_array(grid: Grid2D, h: np.ndarray, m=None) -> np.ndarray:
+    """Real array (..., ny, nx) whose half spectrum is h, or m h given a
+    multiplier m laid out as in apply_multiplier; h is not written into."""
+    if m is None:
+        return _irfft2(h, grid.nx)
+    return _irfft2(m * h, grid.nx, overwrite=True)
+
+
+def gradient_and_spectrum(grid: Grid2D, a: np.ndarray) -> list[np.ndarray]:
+    """[dx a, dy a, h] for real a (..., ny, nx), h its half spectrum
+    (bitwise half_spectrum(a)). dx a comes from the x-pass alone, taken
+    before the y-pass that completes h; 5 passes per field."""
+    nx = grid.nx
+    h = np.fft.rfft(a)
+    dx = np.fft.irfft(1j * grid.kx * h, nx)
+    h = np.fft.fft(h, axis=-2, out=h)
+    return [dx, _irfft2(1j * grid.ky * h, nx, overwrite=True), h]
+
+
+def values_and_gradient(grid: Grid2D, h: np.ndarray) -> list[np.ndarray]:
+    """[a, dx a, dy a] for the real a (..., ny, nx) whose half spectrum is
+    h: one y-pass of h serves a (bitwise real_array(grid, h)) and dx a, so
+    5 passes per field. h is not written into."""
+    nx = grid.nx
+    hy = np.fft.ifft(h, axis=-2)
+    a = np.fft.irfft(hy, nx)
+    hy *= 1j * grid.kx
+    return [a, np.fft.irfft(hy, nx),
+            _irfft2(1j * grid.ky * h, nx, overwrite=True)]
+
+
+def derivative_arrays(grid: Grid2D, a: np.ndarray,
+                      order: int = 1) -> list[np.ndarray]:
     """[dx a, dy a] at order 1, then lap a at order 2, all from one forward
-    transform of a.
+    transform of a (gradient_and_spectrum).
 
     a has shape (..., ny, nx); leading axes stack fields that are
-    transformed together, and every output has the shape of a. Given
-    `spectrum`, a half spectrum whose inverse transform is a (such as the
-    one solenoidal_arrays returns), the outputs take inverse transforms
-    only and a is not read.
+    transformed together, and every output has the shape of a.
     """
-    nx = grid.nx
-    h = _rfft2(a) if spectrum is None else spectrum
-    out = [_irfft2(1j * grid.kx * h, nx, overwrite=True),
-           _irfft2(1j * grid.ky * h, nx, overwrite=True)]
+    *out, h = gradient_and_spectrum(grid, a)
     if order >= 2:
-        out.append(_irfft2(-grid.k2 * h, nx, overwrite=True))
+        out.append(_irfft2(-grid.k2 * h, grid.nx, overwrite=True))
     return out
 
 
@@ -266,7 +318,7 @@ def parseval_derivatives(grid: Grid2D, a: np.ndarray,
     lap a at order 2 and int |grad lap a|^2 at order 3. One forward
     transform of a, and one inverse for lap a from order 2 on.
     """
-    h = _rfft2(a)
+    h = half_spectrum(a)
     out = [_gradient_integral(grid, h)]
     if order >= 2:
         h = -grid.k2 * h
@@ -292,7 +344,7 @@ def apply_multiplier(grid: Grid2D, a: np.ndarray, m) -> np.ndarray:
     as a real function of |k|^2 or i times an odd one, so that the result is
     real; the dropped half of the spectrum is implied by that symmetry.
     """
-    h = _rfft2(a)
+    h = half_spectrum(a)
     h *= m
     return _irfft2(h, grid.nx, overwrite=True)
 
@@ -309,31 +361,17 @@ def lp_norm_array(grid: Grid2D, values: np.ndarray, p: float) -> float:
     return float(((a**p).sum() * grid.cell_area) ** (1.0 / p))
 
 
-def _leray_spectrum(grid: Grid2D, a: np.ndarray, m=None):
-    """Transform of the divergence-free part of stacked a (2, ny, nx), and
-    the coefficient c = (k . a_hat)/|k|^2 with grad(phi)_hat = k c. A
-    multiplier m, laid out as in apply_multiplier, acts on a first."""
-    h = _rfft2(a)
-    if m is not None:
-        h *= m
+def project_spectrum(grid: Grid2D, h: np.ndarray) -> np.ndarray:
+    """Remove the gradient part of the stacked half spectrum h
+    (2, ny, nx//2 + 1) in place, leaving the divergence-free part as in
+    leray_project; returns the coefficient c = (k . h)/|k|^2 with
+    grad(phi)_hat = k c."""
     kx, ky = grid.kx, grid.ky
-    ksq = kx**2 + ky**2
-    safe = np.where(ksq == 0.0, 1.0, ksq)
-    coeff = np.where(ksq == 0.0, 0.0, (kx * h[0] + ky * h[1]) / safe)
+    coeff = np.where(grid.grad_k2_zero, 0.0,
+                     (kx * h[0] + ky * h[1]) / grid.grad_k2_divisor)
     h[0] -= kx * coeff
     h[1] -= ky * coeff
-    return h, coeff
-
-
-def solenoidal_arrays(grid: Grid2D, a: np.ndarray, m=None
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Divergence-free part w of stacked a (2, ny, nx) = w + grad(phi), as
-    in leray_project, and the half spectrum that w is the inverse transform
-    of; phi is not formed. With a multiplier m, laid out as in
-    apply_multiplier, w is the divergence-free part of m applied to a, from
-    the same one forward and one inverse transform."""
-    h = _leray_spectrum(grid, a, m)[0]
-    return _irfft2(h, grid.nx), h
+    return coeff
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +397,7 @@ def laplacian(f: ScalarField2D) -> ScalarField2D:
 
 def divergence(v: VectorField2D) -> ScalarField2D:
     g = v.grid
-    h = _rfft2(v.as_array())
+    h = half_spectrum(v.as_array())
     return ScalarField2D(g, _irfft2(1j * (g.kx * h[0] + g.ky * h[1]), g.nx,
                                     overwrite=True))
 
@@ -378,7 +416,8 @@ def leray_project(v: VectorField2D) -> tuple[VectorField2D, ScalarField2D]:
     through unchanged and phi has zero mean.
     """
     g = v.grid
-    h, coeff = _leray_spectrum(g, v.as_array())
+    h = half_spectrum(v.as_array())
+    coeff = project_spectrum(g, h)
     w = _irfft2(h, g.nx)
     return (VectorField2D.from_arrays(g, w[0], w[1]),
             ScalarField2D(g, _irfft2(-1j * coeff, g.nx, overwrite=True)))
@@ -395,7 +434,7 @@ def spectral_tail_fraction(f: ScalarField2D) -> float:
     if f.is_constant:
         return 0.0
     g = f.grid
-    fh = _rfft2(f.values)
+    fh = half_spectrum(f.values)
     power = np.abs(fh) ** 2 * g.column_weight
     power[0, 0] = 0.0
     ix = (np.fft.rfftfreq(g.nx) * 2.0)[None, :]  # |kx|/k_nyq in [0, 1]

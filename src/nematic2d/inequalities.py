@@ -19,7 +19,7 @@ import numpy as np
 from .diagnostics import velocity_grad_l2_sq
 from .fields import (Grid2D, ScalarField2D, VectorField2D,
                      derivative_arrays, integral, lp_norm, lp_norm_array,
-                     parseval_derivatives)
+                     parseval_derivatives, real_array)
 
 # families must fall by >= 8 e-foldings before the edge; a Gaussian does so
 # when sigma <= min(lx, ly)/8
@@ -143,12 +143,16 @@ def random_band_limited(grid: Grid2D, rng: np.random.Generator,
     well inside the box."""
     sigma = sigma_frac * min(grid.lx, grid.ly)
     _check_decay(grid, sigma)
-    fx = np.fft.fftfreq(grid.nx)[None, :]
-    fy = np.fft.fftfreq(grid.ny)[:, None]
-    keep = (np.abs(fx) <= 0.5 * kcut_frac) & (np.abs(fy) <= 0.5 * kcut_frac)
-    spec = (rng.standard_normal(grid.shape)
-            + 1j * rng.standard_normal(grid.shape)) * keep
-    base = np.fft.ifft2(spec).real
+    # the band on the half spectrum, as whole mode numbers up to
+    # kcut_frac times the Nyquist one along each axis; grid.kx and grid.ky
+    # read 0 on the Nyquist column and row, which k2 > grad_k2 marks
+    mx = np.rint(np.abs(grid.kx) * (grid.lx / (2.0 * np.pi)))
+    my = np.rint(np.abs(grid.ky) * (grid.ly / (2.0 * np.pi)))
+    keep = ((mx <= 0.5 * kcut_frac * grid.nx)
+            & (my <= 0.5 * kcut_frac * grid.ny) & (grid.k2 == grid.grad_k2))
+    spec = (rng.standard_normal(keep.shape)
+            + 1j * rng.standard_normal(keep.shape)) * keep
+    base = real_array(grid, spec)
     scale = np.abs(base).max()
     if scale > 0.0:
         base = base / scale

@@ -12,10 +12,12 @@ fixed at 1.
 
 The operator splits as A = M + (rho - mean(rho))/dt with the
 constant-coefficient M = mean(rho)/dt - lap/2, which is inverted spectrally
-and exactly. When rho is constant, A = M: the solve is M's inverse, which
-joins the projection in one forward and one inverse transform of the right
-side, with no conjugate gradients and no residual check. Otherwise
-preconditioned conjugate gradients solve A u* = b. M z = r holds for every
+and exactly. When rho is constant, A = M and the whole step is taken in
+spectral space, from the half spectrum u_hat that u's bundle keeps: with
+c = rho/dt, b_hat = (c - k^2/2) u_hat - F[rho (u . grad)u + f], then
+u_hat+ = P(b_hat / (c + k^2/2)), with one forward transform, no inverse,
+no conjugate gradients and no residual check. Otherwise preconditioned
+conjugate gradients solve A u* = b. M z = r holds for every
 preconditioned residual, M p is carried by the recurrence
 M p_k = r_k + beta M p_(k-1) (Eisenstat, SIAM J. Sci. Stat. Comput. 2,
 1981), and A p needs no transform: an iteration costs one forward and one
@@ -24,14 +26,16 @@ recurrence can drift, the true residual b - A x is formed once the
 recursive one meets the tolerance, and CG restarts from it if it misses. A
 restart whose true residual is not below the previous restart's cannot help
 (rounding floors the residual), so the solve then fails at once instead of
-spending the iteration cap. The projection takes one more transform pair.
+spending the iteration cap. The projection takes one more forward
+transform.
 
 Either way the new velocity is born in spectral space, and step_momentum
-seeds its derivative bundle (velocity_derivatives: grad(u) and lap(u)) from
-that half spectrum with inverse transforms only. The next step's foot
-points, the diagnostics sample and the next right side read the bundle,
-and that right side drops it, so no stage transforms a stepped velocity
-forward again. (u . grad)u is formed in advection alone.
+seeds its derivative bundle (velocity_derivatives: grad(u) and u_hat) from
+that half spectrum with inverse passes only; one y-pass serves both u and
+dx u (fields.values_and_gradient). The next step's foot points, the
+diagnostics sample and the next momentum step read the bundle, and that
+step drops it, so no stage transforms a stepped velocity forward again.
+(u . grad)u is formed in advection alone.
 """
 
 from __future__ import annotations
@@ -41,7 +45,8 @@ import math
 import numpy as np
 
 from .fields import (ScalarField2D, VectorField2D, apply_multiplier,
-                     derivative_arrays, integral, solenoidal_arrays)
+                     gradient_and_spectrum, half_spectrum, integral,
+                     project_spectrum, real_array, values_and_gradient)
 
 # attribute under which a VectorField2D keeps its derivative bundle
 _BUNDLE = "_derivatives"
@@ -116,20 +121,22 @@ def _pcg(apply_m, apply_minv, shift, b, tol, max_iter):
 
 
 def velocity_derivatives(u: VectorField2D) -> list[np.ndarray]:
-    """[dx u, dy u, lap u] as stacked (2, ny, nx) arrays: u's derivative
-    bundle, memoized on u like a director's. A VectorField2D is frozen and
-    its values are read-only, so the bundle cannot go stale.
+    """[dx u, dy u, u_hat]: u's derivative bundle, memoized on u like a
+    director's, with dx u and dy u stacked (2, ny, nx) arrays and u_hat
+    the stacked (2, ny, nx//2 + 1) half spectrum of u. A VectorField2D is
+    frozen and its values are read-only, so the bundle cannot go stale.
 
     step_momentum seeds it on the velocity it returns, from the half
     spectrum it holds; a velocity without one, such as an initial velocity
-    or one read from a snapshot, gets it from one order-2 pass on first
-    request. The foot points, the diagnostics sample and the next
-    momentum right side read it, and the right side, its last reader,
-    drops it. A caller must not write into the arrays.
+    or one read from a snapshot, gets u_hat from one forward transform and
+    the gradient from it (fields.gradient_and_spectrum) on first request.
+    The foot points, the diagnostics sample and the next momentum step
+    read it, and that step, its last reader, drops it. A caller must not
+    write into the arrays.
     """
     bundle = vars(u).get(_BUNDLE)
     if bundle is None:
-        bundle = derivative_arrays(u.grid, u.as_array(), 2)
+        bundle = gradient_and_spectrum(u.grid, u.as_array())
         object.__setattr__(u, _BUNDLE, bundle)
     return bundle
 
@@ -144,14 +151,34 @@ def advection(u: VectorField2D) -> np.ndarray:
 
 def _right_side(rv, u, force, dt):
     """rho u/dt - rho (u . grad u) - f + lap(u)/2 as a stacked (2, ny, nx)
-    array. u's bundle is dropped once read, so the solve starts without
-    it, and each array is freed as soon as it is used."""
+    array, lap(u)/2 from the bundle's half spectrum. u's bundle is dropped
+    once read, so the solve starts without it, and each array is freed as
+    soon as it is used."""
     b = (rv / dt) * u.as_array()
     b -= rv * advection(u)
-    b += 0.5 * vars(u).pop(_BUNDLE)[2]
+    b += real_array(u.grid, vars(u).pop(_BUNDLE)[2], -0.5 * u.grid.k2)
     b[0] -= force.u1.values
     b[1] -= force.u2.values
     return b
+
+
+def _spectral_step(rho, u, force, dt):
+    """Half spectrum of the step at the constant density rho, with
+    c = rho/dt: P(((c - k^2/2) u_hat - F[rho (u . grad)u + f])
+    / (c + k^2/2)), from one forward transform. u's bundle is dropped once
+    read."""
+    g = u.grid
+    r = advection(u)
+    r *= rho
+    r[0] += force.u1.values
+    r[1] += force.u2.values
+    h = half_spectrum(r)
+    del r
+    c, half_k2 = rho / dt, 0.5 * g.k2
+    np.subtract((c - half_k2) * vars(u).pop(_BUNDLE)[2], h, out=h)
+    h /= c + half_k2
+    project_spectrum(g, h)
+    return h
 
 
 def step_momentum(rho: ScalarField2D, u: VectorField2D, force: VectorField2D,
@@ -162,15 +189,14 @@ def step_momentum(rho: ScalarField2D, u: VectorField2D, force: VectorField2D,
     `force` is the director body force entering the momentum balance with a
     minus sign on the right-hand side. Returns the divergence-free velocity,
     with its derivative bundle (velocity_derivatives) seeded from the half
-    spectrum it was made from: three inverse transforms, no forward one.
-    If `info` is given, it receives the CG iteration count
-    (`cg_iterations`) and the true relative residual at exit
-    (`cg_residual`). A constant density (rho.is_constant) is solved
-    directly, without CG: 0 iterations and residual 0.0 mean that direct
-    solve.
+    spectrum it was made from, with inverse passes only. If `info` is
+    given, it receives the CG iteration count (`cg_iterations`) and the
+    true relative residual at exit (`cg_residual`). A constant density
+    (rho.is_constant) is stepped in spectral space, without CG: 0
+    iterations and residual 0.0 mean that direct step.
 
-    (u . grad)u and lap(u) come from u's bundle, which the right side
-    drops before the solve.
+    (u . grad)u and u_hat come from u's bundle, which the step drops
+    before the solve.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -184,27 +210,29 @@ def step_momentum(rho: ScalarField2D, u: VectorField2D, force: VectorField2D,
     if hi == 0.0:
         raise ValueError("density must not vanish identically")
 
-    # the right side is passed as a temporary, so it is freed with the solve
     if rho.is_constant:
-        w, h = solenoidal_arrays(g, _right_side(rv, u, force, dt),
-                                 1.0 / (hi / dt + 0.5 * g.k2))
+        h = _spectral_step(hi, u, force, dt)
         iters, residual = 0, 0.0
     else:
         rho_bar = float(rv.mean())
         m = rho_bar / dt + 0.5 * g.k2
         minv = 1.0 / m
+        # the right side is passed as a temporary, so it is freed with the
+        # solve
         star, iters, residual = _pcg(lambda a: apply_multiplier(g, a, m),
                                      lambda a: apply_multiplier(g, a, minv),
                                      (rv - rho_bar) / dt,
                                      _right_side(rv, u, force, dt), cg_tol,
                                      cg_max_iter)
-        w, h = solenoidal_arrays(g, star)
+        h = half_spectrum(star)
+        del star
+        project_spectrum(g, h)
     if info is not None:
         info["cg_iterations"] = iters
         info["cg_residual"] = residual
+    w, dx, dy = values_and_gradient(g, h)
     out = VectorField2D.from_arrays(g, w[0], w[1])
-    del w  # the field holds a copy; the seed's transforms take its place
-    object.__setattr__(out, _BUNDLE, derivative_arrays(g, None, 2, h))
+    object.__setattr__(out, _BUNDLE, [dx, dy, h])
     return out
 
 

@@ -3,17 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from nematic2d import (DiagnosticsRecord, DirectorField2D, Grid2D, PhiSample,
+from nematic2d import (DiagnosticsRecord, DirectorField2D, Grid2D,
                        SampleIntegral, ScalarField2D, SerrinExponents,
                        SerrinMonitor, SimConfig, VectorField2D,
                        admissible_exponents, d3_min, director_norms,
-                       make_scenario, phi_functional, renormalize,
-                       serrin_norm, simulate, smallness_condition,
-                       step_director)
+                       make_scenario, renormalize, serrin_norm, simulate,
+                       smallness_condition, step_director)
 from nematic2d.diagnostics import SMALL_DATA_BOUND
-from nematic2d.fields import derivative_arrays, integral
+from nematic2d.director import director_derivatives
+from nematic2d.fields import derivative_arrays, integral, lp_norm_array
 
-from helpers import basic_energy, circle_director, random_unit_director
+from helpers import (PhiSample, basic_energy, circle_director, phi_functional,
+                     random_unit_director)
 
 
 @pytest.fixture
@@ -161,6 +162,14 @@ class TestSerrin:
         for _ in range(10):
             mon.update(d, 1e-2)
         assert mon.accumulated == pytest.approx(c**2 * 0.1, rel=1e-12)
+
+    @pytest.mark.parametrize("r", [3.0, 4.0, 6.0, math.inf])
+    def test_norm_from_the_squared_gradient_matches_lp_norm(self, grid, r):
+        # (int (|grad d|^2)^(r/2))^(1/r) against the L^r norm of
+        # sqrt(|grad d|^2) that it replaces
+        d = random_unit_director(grid, np.random.default_rng(71))
+        want = lp_norm_array(grid, np.sqrt(director_derivatives(d)[1]), r)
+        assert serrin_norm(d, r) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_infinite_s_keeps_the_running_sup(self, grid):
         # s = inf stands for the L^inf-in-time norm: the running sup over

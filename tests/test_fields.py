@@ -6,9 +6,11 @@ from nematic2d import (Grid2D, ScalarField2D, VectorField2D, divergence,
                        material_derivative, spectral_tail_fraction,
                        vector_lp_norm, velocity_from_stream,
                        velocity_grad_l2_sq)
-from nematic2d.fields import (TAIL_CUT, _gradient_integral, _irfft2, _rfft2,
-                              apply_multiplier, derivative_arrays, integral,
-                              parseval_derivatives, solenoidal_arrays)
+from nematic2d.fields import (TAIL_CUT, _gradient_integral, _irfft2,
+                              apply_multiplier, derivative_arrays,
+                              gradient_and_spectrum, half_spectrum, integral,
+                              parseval_derivatives, project_spectrum,
+                              real_array, values_and_gradient)
 from nematic2d.inequalities import grad_l2
 
 from helpers import (band_limited_field, count_transforms, fft2_derivatives,
@@ -242,22 +244,31 @@ class TestHalfSpectrum:
                         fft2_project(grid, data[0], data[1])):
             assert_matches(a, b)
 
-    def test_solenoidal_arrays_matches_oracle(self, grid, data):
-        w, h = solenoidal_arrays(grid, data)
+    def test_project_spectrum_matches_oracle(self, grid, data):
+        h = half_spectrum(data)
+        project_spectrum(grid, h)
+        w = real_array(grid, h)
         assert w.shape == data.shape
         for a, b in zip(w, fft2_project(grid, data[0], data[1])[:2]):
             assert_matches(a, b)
-        # the returned spectrum stands for w in the derivative pass
-        for a, b in zip(derivative_arrays(grid, None, 2, spectrum=h),
-                        derivative_arrays(grid, w, 2)):
+        # the kept spectrum stands for w and its gradient, and is kept
+        kept = h.copy()
+        got = values_and_gradient(grid, h)
+        assert np.array_equal(got[0], w)
+        for a, b in zip(got[1:], derivative_arrays(grid, w)):
             assert_matches(a, b)
+        assert np.array_equal(h, kept)
 
-    def test_solenoidal_arrays_applies_a_multiplier(self, grid, data,
-                                                    monkeypatch):
+    def test_project_spectrum_after_a_multiplier(self, grid, data,
+                                                 monkeypatch):
         _, _, k2 = full_wavenumbers(grid)
         calls = count_transforms(monkeypatch)
-        w, _ = solenoidal_arrays(grid, data, 1.0 / (3.0 + 0.5 * grid.k2))
-        assert calls.transforms() == 2
+        h = half_spectrum(data)
+        h *= 1.0 / (3.0 + 0.5 * grid.k2)
+        project_spectrum(grid, h)
+        w = real_array(grid, h)
+        # one stacked call each way per axis: rfft, fft; ifft, irfft
+        assert calls.calls() == 4
         m = 1.0 / (3.0 + 0.5 * k2)
         want = fft2_project(grid, fft2_multiplier(data[0], m),
                             fft2_multiplier(data[1], m))
@@ -303,7 +314,7 @@ class TestHalfSpectrum:
         f = ScalarField2D.full(Grid2D(n, n, 1.0, 1.0), c)
         calls = count_transforms(monkeypatch)
         assert spectral_tail_fraction(f) == 0.0
-        assert calls.transforms() == 0
+        assert calls.calls() == 0
 
 
 class TestTransformPair:
@@ -317,7 +328,7 @@ class TestTransformPair:
         return np.random.default_rng(59).standard_normal(request.param)
 
     def test_forward_equals_rfft2(self, data):
-        assert np.array_equal(_rfft2(data), np.fft.rfft2(data))
+        assert np.array_equal(half_spectrum(data), np.fft.rfft2(data))
 
     @pytest.mark.parametrize("overwrite", [False, True])
     def test_inverse_equals_irfft2(self, data, overwrite):
@@ -330,6 +341,39 @@ class TestTransformPair:
         assert np.array_equal(got, want)
         if not overwrite:
             assert np.array_equal(h, kept)
+
+    def test_x_derivative_takes_the_x_pass_alone(self, data, monkeypatch):
+        ny, nx = data.shape[-2:]
+        g = Grid2D(nx, ny, 1.3, 0.7)
+        want = _irfft2(1j * g.kx * half_spectrum(data), nx)
+        calls = count_transforms(monkeypatch)
+        dx, dy, h = gradient_and_spectrum(g, data)
+        # rfft, irfft for dx; fft completes h; ifft, irfft for dy
+        assert calls.x_passes == 3 and calls.y_passes == 2
+        assert calls.calls() == 5
+        assert dx.shape == dy.shape == data.shape
+        assert_matches(dx, want, rel=1e-13)
+        assert np.array_equal(h, np.fft.rfft2(data))
+        # the Nyquist column (-1)^i has no first derivative: adding it
+        # leaves dx as it was
+        nyquist = np.cos(np.pi * np.arange(nx)) * np.ones(data.shape)
+        assert_matches(gradient_and_spectrum(g, data + 5.0 * nyquist)[0],
+                       want, rel=1e-13)
+
+    def test_values_and_gradient_share_a_y_pass(self, data, monkeypatch):
+        ny, nx = data.shape[-2:]
+        g = Grid2D(nx, ny, 1.3, 0.7)
+        h = np.fft.rfft2(data)
+        kept = h.copy()
+        calls = count_transforms(monkeypatch)
+        a, dx, dy = values_and_gradient(g, h)
+        # ifft, irfft for a and irfft for dx; ifft, irfft for dy
+        assert calls.x_passes == 3 and calls.y_passes == 2
+        assert calls.calls() == 5
+        assert np.array_equal(h, kept)
+        assert np.array_equal(a, np.fft.irfft2(kept, s=(ny, nx)))
+        assert_matches(dx, _irfft2(1j * g.kx * kept, nx), rel=1e-13)
+        assert np.array_equal(dy, _irfft2(1j * g.ky * kept, nx))
 
     def test_order_three_reads_the_kept_laplacian_spectrum(self):
         # the order-2 inverse transform must not overwrite -k^2 h, which
@@ -355,15 +399,16 @@ class TestConstantField:
         assert not f.is_constant
 
 
-# 2-D transforms per call of each derivative helper: one forward transform
-# of the stacked velocity (or of the scalar), and one inverse per output;
-# material_derivative reads the velocity's derivative bundle, which a
-# velocity without one gets from one order-2 pass (dx, dy and lap)
+# numpy.fft calls per call of each derivative helper: a 2-D transform of
+# the stacked velocity (or of the scalar) is two calls, its x-pass and its
+# y-pass; material_derivative reads the velocity's derivative bundle, which
+# a velocity without one gets from gradient_and_spectrum (rfft, irfft for
+# dx, fft, then ifft, irfft for dy)
 HELPER_TRANSFORMS = {
-    "divergence": (lambda u, f: divergence(u), 2),
-    "material_derivative": (lambda u, f: material_derivative(u, u, 0.1), 4),
-    "velocity_grad_l2_sq": (lambda u, f: velocity_grad_l2_sq(u), 1),
-    "grad_l2": (lambda u, f: grad_l2(f), 1),
+    "divergence": (lambda u, f: divergence(u), 4),
+    "material_derivative": (lambda u, f: material_derivative(u, u, 0.1), 5),
+    "velocity_grad_l2_sq": (lambda u, f: velocity_grad_l2_sq(u), 2),
+    "grad_l2": (lambda u, f: grad_l2(f), 2),
 }
 
 
@@ -374,4 +419,4 @@ def test_helper_transform_counts(grid, monkeypatch, name):
     helper, want = HELPER_TRANSFORMS[name]
     calls = count_transforms(monkeypatch)
     helper(u, f)
-    assert calls.transforms() == want
+    assert calls.calls() == want

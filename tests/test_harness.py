@@ -648,73 +648,88 @@ class TestDemos:
 
 
 class TestTransformBudget:
-    """2-D transforms per stage at 32^2, as upper bounds (measured
-    equal): a change that adds a transform to a stage shows here. Each
-    director is transformed once: RunMonitors.fresh (or the scenario) and
-    then ericksen_stress seed its derivative bundle, which the Serrin
-    update, the samples and the next director step read. A constant
-    director, vacuum-bubble's, is not transformed at all. The velocity has
-    the same rule: step_momentum seeds its derivative bundle from the half
-    spectrum it holds, with three inverse transforms, and the sample and
-    the next step read it, so neither transforms that velocity again."""
+    """numpy.fft calls per stage at 32^2, pinned as measured: a change
+    that adds a pass to a stage shows here. A 2-D transform is two calls,
+    its x-pass and its y-pass, and a derivative along x takes the x-pass
+    alone. Each director is transformed once: RunMonitors.fresh (or the
+    scenario) and then ericksen_stress seed its derivative bundle, which
+    the Serrin update, the samples and the next director step read. A
+    constant director, vacuum-bubble's, is not transformed at all. The
+    velocity has the same rule: step_momentum seeds its derivative bundle
+    [dx u, dy u, u_hat] from the half spectrum it holds, with five inverse
+    passes, and the sample and the next step read it, so neither
+    transforms that velocity again."""
 
     @pytest.mark.parametrize("scenario",
                              ["angle-condition", "vacuum-bubble",
                               "small-director"])
     def test_transforms_per_stage(self, scenario, monkeypatch):
         calls = count_transforms(monkeypatch)
-        staged = {}  # transforms of each call of a director stage
+        staged = {}  # calls of each call of a stage
 
-        def cost(fn, *args):
-            before = calls.transforms()
-            out = fn(*args)
-            return calls.transforms() - before, out
+        def cost(fn, *args, **kwargs):
+            before = calls.calls()
+            out = fn(*args, **kwargs)
+            return calls.calls() - before, out
 
         def counted(name, fn):
-            def wrapper(*args):
-                n, out = cost(fn, *args)
+            def wrapper(*args, **kwargs):
+                n, out = cost(fn, *args, **kwargs)
                 staged.setdefault(name, []).append(n)
                 return out
             return wrapper
 
         for module, name in ((simulation, "step_director"),
                              (simulation, "ericksen_stress"),
+                             (simulation, "step_momentum"),
                              (diagnostics, "director_norms")):
             monkeypatch.setattr(module, name,
                                 counted(name, getattr(module, name)))
 
         def momentum(iters):
-            # the direct solve of a constant density takes one transform
-            # pair; CG takes one per iteration plus the first
-            # preconditioning, the exit check and the projection
-            return 4 + 2 * iters if iters else 2
+            # a constant density: the spectral step's forward transform (2)
+            # and the seed's inverse passes (5). CG: lap(u) of the right
+            # side (2), the first preconditioning and the exit check (4
+            # each), 4 per iteration after the first, the projection's
+            # forward transform (2) and the seed (5)
+            return 4 * iters + 13 if iters else 7
 
         cfg = SimConfig(nx=32, ny=32, dt=1e-3, scenario=scenario)
         state = initial_state(cfg)
         constant = scenario == "vacuum-bubble"  # its director is constant
-        # transforms of the director step, the stress and director_norms
-        step, stress, norms = (0, 0, 0) if constant else (6, 12, 6)
+        # the director step (one transform pair per component), the stress
+        # (per component rfft, irfft for dx, fft, and ifft, irfft for each
+        # of dy and lap) and director_norms (a forward transform and the
+        # inverse of lap per component)
+        step, stress, norms = (0, 0, 0) if constant else (12, 21, 12)
         n, mon = cost(RunMonitors.fresh, cfg, state)
-        assert n <= (0 if constant else 9)
-        # the first sample makes the initial velocity's bundle: one
-        # order-2 pass, one forward and three inverse transforms
-        assert cost(_sample, state, cfg, mon, cfg.dt)[0] <= 4 + norms
+        # the director's order-1 pass, unless the scenario made it
+        assert n <= (0 if constant else 15)
+        # the first sample makes the initial velocity's bundle: rfft,
+        # irfft for dx, fft, then ifft, irfft for dy
+        assert cost(_sample, state, cfg, mon, cfg.dt)[0] == 5 + norms
         info = {}
         n, state = cost(step_once, state, cfg, cfg.dt, info)
-        assert (info["cg_iterations"] == 0) is (scenario == "angle-condition")
+        iters = [info["cg_iterations"]]
+        assert (iters[0] == 0) is (scenario == "angle-condition")
         # the step reads that bundle, and the momentum step seeds the new
-        # velocity's with three inverse transforms
-        assert n <= 3 + step + stress + momentum(info["cg_iterations"])
+        # velocity's
+        assert n == step + stress + momentum(iters[0])
         assert cost(mon.serrin.update, state.d, cfg.dt)[0] == 0
         # later samples read grad(u) and (u . grad)u from the bundle and
-        # add one transform of d_t, unless both directors are constant
+        # add one forward transform of d_t, unless both directors are
+        # constant
         n = cost(_sample, state, cfg, mon, cfg.dt)[0]
-        assert n <= norms + (0 if constant else 1)
+        assert n == norms + (0 if constant else 2)
         n, state = cost(step_once, state, cfg, cfg.dt, info)
-        assert n <= 3 + step + stress + momentum(info["cg_iterations"])
+        iters.append(info["cg_iterations"])
+        assert n == step + stress + momentum(iters[1])
         assert staged == {"director_norms": [norms] * 2,
                           "step_director": [step] * 2,
-                          "ericksen_stress": [stress] * 2}
+                          "ericksen_stress": [stress] * 2,
+                          "step_momentum": [momentum(k) for k in iters]}
+        if scenario == "angle-condition":
+            assert staged["step_momentum"] == [7, 7]
 
 
 class TestStageTiming:
@@ -778,8 +793,7 @@ class TestHeapPolicy:
 
 class TestSpectralLayout:
     def test_only_fields_owns_the_transforms(self):
-        # the Fourier layout lives in fields.py; inequalities.py only
-        # synthesizes random data with np.fft
+        # the Fourier layout lives in fields.py, and every numpy.fft call
         src = Path(__file__).parents[1] / "src" / "nematic2d"
         users = set()
         for path in src.glob("*.py"):
@@ -790,5 +804,4 @@ class TestSpectralLayout:
                         or (isinstance(node, ast.ImportFrom) and node.module
                             and node.module.startswith("numpy"))):
                     users.add(path.name)
-        assert "fields.py" in users
-        assert users <= {"fields.py", "inequalities.py"}, sorted(users)
+        assert users == {"fields.py"}, sorted(users)

@@ -8,16 +8,18 @@ import nematic2d.simulation
 import nematic2d.transport
 from nematic2d import (ConvergenceError, Grid2D, RunMonitors, ScalarField2D,
                        SimConfig, VectorField2D, advect_density, divergence,
-                       initial_state, kinetic_energy, lp_norm,
+                       ericksen_stress, initial_state, kinetic_energy,
+                       lp_norm,
                        material_derivative, simulate, step_momentum,
                        step_once, vector_lp_norm, velocity_from_stream)
 from nematic2d.diagnostics import velocity_grad_l2_sq
-from nematic2d.fields import _irfft2, apply_multiplier, solenoidal_arrays
+from nematic2d.fields import (_irfft2, apply_multiplier, half_spectrum,
+                              project_spectrum, real_array)
 from nematic2d.momentum import _BUNDLE, advection, velocity_derivatives
 from nematic2d.simulation import _sample
 
-from helpers import (band_limited_field, count_transforms, momentum_system,
-                     reference_pcg)
+from helpers import (band_limited_field, constant_density_step,
+                     count_transforms, momentum_system, reference_pcg)
 
 
 @pytest.fixture
@@ -200,9 +202,11 @@ class TestCgSolve:
         step_momentum(rho, u, force, 1e-3, info=info)
         iters = info["cg_iterations"]
         assert iters >= 10  # measured 22
-        # the right-hand side, the exit check and the projection take a
-        # fixed number, the iterations two each (measured 2 iters + 8)
-        assert calls.transforms() <= 2 * iters + 12
+        # a 2-D transform is two calls. The fresh bundle (5), lap(u) of the
+        # right side (2), the first preconditioning and the exit check (4
+        # each), the projection's forward transform (2) and the seed (5)
+        # take a fixed number, the iterations 4 each (measured 4 iters + 18)
+        assert calls.calls() <= 4 * iters + 18
 
     def _drifting_system(self):
         # apply_minv inverts 1.1 M instead of M, so M z = r fails and the
@@ -248,18 +252,23 @@ class TestVelocityTerms:
     def test_step_once_gathers_once(self, monkeypatch):
         gathers, seeded = [], []
         real = nematic2d.transport.sample_bicubic
-        real_right_side = nematic2d.momentum._right_side
 
         def spy(*args, **kwargs):
             gathers.append(args[1])
             return real(*args, **kwargs)
 
-        def right_side(rv, u, force, dt):
-            seeded.append(_BUNDLE in vars(u))
-            return real_right_side(rv, u, force, dt)
+        def right_side(real_side):
+            # the CG right side, or the spectral step of a constant
+            # density; u is the second argument of either
+            def spied(*args):
+                seeded.append(_BUNDLE in vars(args[1]))
+                return real_side(*args)
+            return spied
 
         monkeypatch.setattr(nematic2d.transport, "sample_bicubic", spy)
-        monkeypatch.setattr(nematic2d.momentum, "_right_side", right_side)
+        for name in ("_right_side", "_spectral_step"):
+            monkeypatch.setattr(nematic2d.momentum, name, right_side(
+                getattr(nematic2d.momentum, name)))
         for scenario, gathered in (("vacuum-bubble", 1),
                                    ("angle-condition", 0)):
             gathers.clear()
@@ -282,7 +291,7 @@ class TestVelocityTerms:
         assert _BUNDLE in vars(u)
         calls = count_transforms(monkeypatch)
         bundle = velocity_derivatives(u)
-        assert calls.transforms() == 0
+        assert calls.calls() == 0
         assert bundle is velocity_derivatives(u)
         new = step_once(state, cfg, cfg.dt)
         assert _BUNDLE not in vars(u)
@@ -296,10 +305,11 @@ class TestVelocityTerms:
         advection(u)  # seeds the bundle, as the step's foot points do
         calls = count_transforms(monkeypatch)
         seeded = step_momentum(rho, u, force, 1e-3)
-        n_seeded = calls.transforms()
+        n_seeded = calls.calls()
         fresh = step_momentum(rho, copy, force, 1e-3)
-        # the fresh step adds the order-2 pass: one forward, three inverse
-        assert calls.transforms() - n_seeded == n_seeded + 4
+        # the fresh step adds the bundle's pass: rfft, irfft for dx, fft,
+        # then ifft, irfft for dy
+        assert calls.calls() - n_seeded == n_seeded + 5
         assert np.array_equal(seeded.as_array(), fresh.as_array())
         for a, b in zip(velocity_derivatives(seeded),
                         velocity_derivatives(fresh)):
@@ -339,17 +349,36 @@ class TestDirectSolve:
         x, iters, _ = nematic2d.momentum._pcg(
             apply_a, apply_minv, np.zeros(grid.shape), b, 1e-10, 500)
         assert iters == 1  # A = M: the preconditioner solves it at once
-        want, _ = solenoidal_arrays(grid, x)
+        h = half_spectrum(x)
+        project_spectrum(grid, h)
+        want = real_array(grid, h)
         advection(u)  # seeds the bundle, as the step's foot points do
         calls = count_transforms(monkeypatch)
         info = {}
         got = step_momentum(rho, u, force, dt, info=info)
         assert relative_error(got.as_array(), want) <= 1e-12
         assert info == {"cg_iterations": 0, "cg_residual": 0.0}
-        # one transform pair for the solve, and three inverse transforms
-        # that seed the new velocity's bundle from its half spectrum
-        assert calls.transforms() == 5
-        assert calls["rfft"] == 1 and calls["irfft"] == 4
+        # one forward transform for the spectral step and no inverse; the
+        # new velocity and its bundle take five inverse passes of its half
+        # spectrum, one y-pass serving u and dx u
+        assert calls.calls() == 7
+        assert calls["rfft"] == calls["fft"] == 1
+        assert calls["irfft"] == 3 and calls["ifft"] == 2
+
+    def test_spectral_step_matches_the_real_space_step(self):
+        # from a velocity seeded by a momentum step: its bundle's half
+        # spectrum replaces rho u/dt and lap(u)/2 of the real-space right
+        # side
+        cfg = SimConfig(nx=32, ny=32, dt=1e-3, scenario="angle-condition")
+        state = step_once(initial_state(cfg), cfg, cfg.dt)
+        assert state.rho.is_constant and _BUNDLE in vars(state.u)
+        force = ericksen_stress(state.d)
+        want = constant_density_step(state.rho, state.u, force, cfg.dt)
+        got = step_momentum(state.rho, state.u, force, cfg.dt)
+        assert relative_error(got.as_array(), want) <= 1e-13
+        # the seed wrote into no part of the kept half spectrum
+        kept = velocity_derivatives(got)[2]
+        assert np.array_equal(_irfft2(kept, cfg.nx), got.as_array())
 
 
 class TestKeptSpectrum:
@@ -382,31 +411,32 @@ class TestKeptSpectrum:
         copy = VectorField2D.from_arrays(grid, *u.as_array())
         calls = count_transforms(monkeypatch)
         kept = velocity_derivatives(u)
-        assert calls.transforms() == 0
+        assert calls.calls() == 0
         fresh = velocity_derivatives(copy)
-        assert calls.transforms() == 4
-        assert calls["rfft"] == 1 and calls["irfft"] == 3
+        # rfft, irfft for dx, fft, then ifft, irfft for dy
+        assert calls.calls() == 5
+        assert calls["rfft"] == calls["fft"] == calls["ifft"] == 1
         for a, b in zip(kept, fresh):
             assert relative_error(a, b) <= 1e-12
 
     def test_seeding_keeps_the_spectrum_of_the_velocity(self, grid,
                                                         monkeypatch):
-        # the bundle's inverse transforms write into temporaries, never
-        # into the kept half spectrum they are taken from
+        # the seed's inverse passes write into temporaries, never into the
+        # kept half spectrum they are taken from, which the bundle holds
         kept = []
 
-        def spy(*args):
-            w, h = solenoidal_arrays(*args)
-            kept.append((w.copy(), h))
-            return w, h
+        def spy(grid, h):
+            coeff = project_spectrum(grid, h)
+            kept.append((h, h.copy()))
+            return coeff
 
-        monkeypatch.setattr(nematic2d.momentum, "solenoidal_arrays", spy)
+        monkeypatch.setattr(nematic2d.momentum, "project_spectrum", spy)
         u = step_momentum(vacuum_disk_density(grid), small_vortex(grid, 0.3),
                           random_force(grid, 2.0), 1e-3)
-        assert _BUNDLE in vars(u)
-        (w, h), = kept
-        assert np.array_equal(_irfft2(h, grid.nx), w)
-        assert np.array_equal(u.as_array(), w)
+        (h, copy), = kept
+        assert velocity_derivatives(u)[2] is h
+        assert np.array_equal(h, copy)
+        assert np.array_equal(u.as_array(), _irfft2(h, grid.nx))
 
     def test_a_later_sample_makes_no_velocity_transform(self, monkeypatch):
         # vacuum-bubble's director is constant and takes no transform, so
@@ -418,7 +448,7 @@ class TestKeptSpectrum:
         state = step_once(state, cfg, cfg.dt)
         calls = count_transforms(monkeypatch)
         _sample(state, cfg, mon, cfg.dt)
-        assert calls.transforms() == 0
+        assert calls.calls() == 0
 
     @pytest.mark.parametrize("scenario", ["vacuum-bubble", "angle-condition"])
     def test_no_forward_transform_of_a_stepped_velocity(self, scenario,

@@ -128,7 +128,7 @@ class TestConstantDensity:
                             lambda *args: gathers.append(args))
         calls = count_transforms(monkeypatch)
         assert advect_density(rho, u, 5e-3) is rho
-        assert gathers == [] and calls.transforms() == 0
+        assert gathers == [] and calls.calls() == 0
         assert _BUNDLE not in vars(u)  # no foot points read the velocity
 
     def test_keeps_the_input_checks(self):
