@@ -40,7 +40,8 @@ def _cmd_run(args) -> int:
     print(f"director bound: value {_fmt(s['director_bound_value'])} "
           f"held {s['director_bound_held']}")
     print(f"energy monotone: {s['energy_monotone']}  budget residual max "
-          f"{_fmt(s['energy_budget_residual_max'])}")
+          f"{_fmt(s['energy_budget_residual_max'])} "
+          f"({_fmt(s['energy_budget_residual_rel'])} of E(0))")
     print(f"d3 floor held: {s['d3_floor_held']} "
           f"(initial {_fmt(s['d3_min_initial'])}, "
           f"run min {_fmt(s['d3_min_run'])})")

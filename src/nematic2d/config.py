@@ -66,11 +66,13 @@ def parse_config(path: str | Path) -> SimConfig:
     """Read a UTF-8 `key = value` file; unknown keys are errors.
 
     Scenario parameters use the `scenario.<name>` prefix and are numbers
-    that scenarios.check_param accepts. Blank lines and
-    lines starting with '#' are skipped. `serrin_r = inf` is accepted.
+    that scenarios.check_param accepts. A key set twice is an error. Blank
+    lines and lines starting with '#' are skipped. `serrin_r = inf` is
+    accepted.
     """
     kwargs: dict = {}
     scen: dict = {}
+    first_line: dict = {}  # the line each key was set on
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8")
                                  .splitlines(), start=1):
         line = raw.strip()
@@ -81,6 +83,10 @@ def parse_config(path: str | Path) -> SimConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in first_line:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r} "
+                             f"(first set on line {first_line[key]})")
+        first_line[key] = lineno
         if key.startswith("scenario."):
             pname = key[len("scenario."):]
             if not pname:

@@ -16,8 +16,8 @@ import numpy as np
 
 from .director import director_derivatives
 from .fields import (DirectorField2D, NonFiniteError, ScalarField2D,
-                     VectorField2D, integral, lp_norm_array,
-                     parseval_derivatives)
+                     VectorField2D, gradient_integral, half_spectrum,
+                     integral, lp_norm_array, real_array)
 from .momentum import kinetic_energy
 
 SMALL_DATA_BOUND = 1.0 / 16.0  # the paper's small-data constant
@@ -65,21 +65,21 @@ class DirectorNorms:
 
 
 def director_norms(d: DirectorField2D) -> DirectorNorms:
-    """All of DirectorNorms. |grad d|^2 comes from d's memoized bundle
-    (director_derivatives); each component then costs one forward and one
-    inverse transform, for lap d in real space, which the tension needs.
-    int |grad lap d|^2 is taken by Parseval on the same spectrum. A
-    constant director (d.is_constant) has all norms zero, returned without
-    a transform."""
+    """All of DirectorNorms from d's memoized bundle (director_derivatives),
+    without a forward transform: each component c costs one inverse
+    transform of -k^2 c_hat, for lap c in real space, and int |grad lap c|^2
+    is taken by Parseval on the same -k^2 c_hat. A constant director
+    (d.is_constant) has all norms zero, returned without a transform."""
     if d.is_constant:
         return DirectorNorms(0.0, 0.0, 0.0, 0.0, 0.0)
     g = d.grid
-    gs = director_derivatives(d)[1]
+    ders, gs = director_derivatives(d)
     hess = third = tension = 0.0
-    for c in d.components:
-        _, lap, grad_lap = parseval_derivatives(g, c.values, 3)
+    for (_, _, h), c in zip(ders, d.components):
+        lap_h = -g.k2 * h
+        lap = real_array(g, lap_h)
         hess += integral(g, lap**2)
-        third += grad_lap
+        third += gradient_integral(g, lap_h)
         tension += integral(g, (lap + gs * c.values) ** 2)
     return DirectorNorms(
         grad_l2_sq=integral(g, gs), grad_l4_4=integral(g, gs * gs),
@@ -91,7 +91,7 @@ def director_grad_l2_sq(d: DirectorField2D) -> float:
 
 
 def velocity_grad_l2_sq(u: VectorField2D) -> float:
-    return parseval_derivatives(u.grid, u.as_array())[0]
+    return gradient_integral(u.grid, half_spectrum(u.as_array()))
 
 
 def d3_min(d: DirectorField2D) -> float:

@@ -5,11 +5,16 @@ Diffusion is implicit (a modewise Fourier solve), transport and reaction are
 explicit, and the unit constraint is restored by pointwise renormalization
 after every step.
 
+Each director is transformed forward once: its derivative bundle
+(director_derivatives) has a velocity's layout, [dx c, dy c, c_hat] per
+component c, and the elastic stress and diagnostics.director_norms take
+higher derivatives from the half spectra c_hat.
+
 A constant director (DirectorField2D.is_constant, the fields module's
 min = max rule on every component) is a steady solution: its spectral
-derivatives are exactly zero. It takes no transform: its derivatives are
-zero arrays, from which the elastic force and the norms come out exactly
-zero, and its step is the renormalization alone, with the FLOOR check.
+derivatives are exactly zero. It takes no transform: its bundle holds
+zero arrays, its elastic force and norms are exactly zero, and its step is
+the renormalization alone, with the FLOOR check.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import (DirectorField2D, VectorField2D, apply_multiplier,
-                     derivative_arrays)
+                     gradient_and_spectrum, real_array)
 
 # smallest director length renormalization accepts: projecting a near-zero
 # average onto the sphere is meaningless
@@ -57,43 +62,46 @@ def _renormalized(grid, comps) -> DirectorField2D:
     return DirectorField2D.from_arrays(grid, *comps)
 
 
-# attribute under which a DirectorField2D keeps its first-derivative bundle
-_BUNDLE = "_first_derivatives"
+# attribute under which a DirectorField2D keeps its derivative bundle
+_BUNDLE = "_derivatives"
 
 
-def director_derivatives(d: DirectorField2D, order: int = 1):
-    """derivative_arrays of each director component, and the pointwise sum
-    |grad d|^2 of |grad c|^2 over the components.
+def director_derivatives(d: DirectorField2D):
+    """d's derivative bundle: [dx c, dy c, c_hat] per component c, c_hat
+    its half spectrum (fields.gradient_and_spectrum, the velocity's
+    layout), and the pointwise |grad d|^2, summed over the components.
 
-    The order-1 result, the bundle ([(dx, dy)] per component,
-    |grad d|^2), is memoized on d: a DirectorField2D is frozen and its
-    values are read-only, so the bundle cannot go stale. Every pass stores
-    its first-order part as the bundle, so ericksen_stress seeds it from
-    its own order-2 pass; order 1 then returns the stored arrays without a
-    transform, and step_director, the bundle's last reader, drops it.
-    Higher orders are always computed afresh.
+    Memoized on d, which is frozen with read-only values, so the bundle
+    cannot go stale; its arrays are stored read-only. ericksen_stress makes
+    it in a run (RunMonitors.fresh for the initial director), later
+    readers take higher derivatives from c_hat, and step_director, the
+    last reader, drops it.
 
-    A constant director (d.is_constant) gets one read-only zero array for
-    every derivative and for |grad d|^2, without a transform.
+    A constant director (d.is_constant) gets read-only zero arrays without
+    a transform; its zero c_hat lacks only the mean mode, which no
+    derivative reads, and the readers of c_hat return before reading it.
     """
-    if order == 1:
-        bundle = vars(d).get(_BUNDLE)
-        if bundle is not None:
-            return bundle
+    bundle = vars(d).get(_BUNDLE)
+    if bundle is not None:
+        return bundle
     g = d.grid
     if d.is_constant:
-        zero = np.zeros(g.shape)
-        zero.setflags(write=False)
-        ders, grad_sq = [[zero] * (order + 1)] * 3, zero
+        zero, zero_hat = np.zeros(g.shape), np.zeros(g.k2.shape, complex)
+        ders, grad_sq = [[zero, zero, zero_hat]] * 3, zero
     else:
-        # per component: a stacked (3, ny, nx) pass measured slower to set up
-        ders = [derivative_arrays(g, c.values, order) for c in d.components]
-        grad_sq, sq = np.zeros(g.shape), np.empty(g.shape)
-        for x in ders:
-            term = x[0] * x[0]
-            term += np.multiply(x[1], x[1], out=sq)
+        # per component (a stacked pass measured slower to set up), |grad c|^2
+        # summed through two buffers as each pass ends, touching fewer pages
+        ders, grad_sq = [], np.zeros(g.shape)
+        term, sq = np.empty(g.shape), np.empty(g.shape)
+        for c in d.components:
+            ders.append(gradient_and_spectrum(g, c.values))
+            gx, gy, _ = ders[-1]
+            np.multiply(gx, gx, out=term)
+            term += np.multiply(gy, gy, out=sq)
             grad_sq += term
-    object.__setattr__(d, _BUNDLE, ([(x[0], x[1]) for x in ders], grad_sq))
+    for a in (grad_sq, *ders[0], *ders[1], *ders[2]):
+        a.setflags(write=False)
+    object.__setattr__(d, _BUNDLE, (ders, grad_sq))
     return ders, grad_sq
 
 
@@ -109,7 +117,7 @@ def step_director(d: DirectorField2D, u: VectorField2D,
     grad(d) comes from d's memoized bundle (director_derivatives), which
     the step then drops from d: a stepped-from director is not read again
     in a run, and older states kept alive, such as the last sample, would
-    otherwise hold their gradients.
+    otherwise hold their gradients and spectra.
 
     A constant director is its own solution: the right side is d and the
     solve returns it, so the step reads no gradient, makes no transform
@@ -129,7 +137,7 @@ def step_director(d: DirectorField2D, u: VectorField2D,
         u1, u2 = u.u1.values, u.u2.values
         inv = 1.0 / (1.0 + dt * g.k2)
         star, tmp = [], np.empty(g.shape)
-        for comp, (gx, gy) in zip(d.components, grads):
+        for comp, (gx, gy, _) in zip(d.components, grads):
             # c + dt (-(u1 gx + u2 gy) + |grad d|^2 c), in place
             rhs = u1 * gx
             rhs += np.multiply(u2, gy, out=tmp)
@@ -149,15 +157,17 @@ def ericksen_stress(d: DirectorField2D) -> VectorField2D:
     div(M) and f differ by the pure gradient grad(|grad d|^2 / 2), which the
     pressure absorbs, so their divergence-free projections agree.
 
-    The first-derivative part of this pass becomes d's memoized bundle. A
-    constant director's derivatives are zero arrays (director_derivatives),
-    so its force is exactly zero, without a transform.
+    lap(c) comes from c_hat in d's bundle (director_derivatives), which
+    this call makes in a run, with one inverse transform per component. A
+    constant director's force is exactly zero, returned without reading
+    the bundle.
     """
-    ders, _ = director_derivatives(d, order=2)
     g = d.grid
     f = np.zeros((2,) + g.shape)
-    tmp = np.empty(g.shape)
-    for gx, gy, lap in ders:
-        f[0] += np.multiply(gx, lap, out=tmp)
-        f[1] += np.multiply(gy, lap, out=tmp)
+    if not d.is_constant:
+        tmp = np.empty(g.shape)
+        for gx, gy, h in director_derivatives(d)[0]:
+            lap = real_array(g, h, -g.k2)
+            f[0] += np.multiply(gx, lap, out=tmp)
+            f[1] += np.multiply(gy, lap, out=tmp)
     return VectorField2D.from_arrays(g, f[0], f[1])

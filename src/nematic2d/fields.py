@@ -26,12 +26,14 @@ The x-derivative's multiplier depends on kx alone, so it commutes with the
 y-passes: gradient_and_spectrum takes dx a = irfft(1j kx rfft(a)) from the
 x-pass alone, before the y-pass that completes the half spectrum, and
 values_and_gradient reads a and dx a from one y-pass of a kept spectrum.
-Passes per call on real a: 5 for [dx, dy] (rfft, irfft; fft; ifft, irfft),
-7 with lap (derivative_arrays at order 2), 4 for apply_multiplier. From a
-kept spectrum h, values_and_gradient makes 5 (ifft, irfft, irfft; ifft,
-irfft). Nobody writes into a kept spectrum, such as the half spectrum a
-velocity's derivative bundle holds: the passes that read it write into
-temporaries only.
+Passes per call on real a: 5 for gradient_and_spectrum (rfft, irfft;
+fft; ifft, irfft), 4 for apply_multiplier. From a kept spectrum h:
+values_and_gradient 5 (ifft, irfft, irfft; ifft, irfft), lap a =
+real_array(grid, h, -k2) 2, and int |grad a|^2 = gradient_integral(grid,
+h) none. Nobody writes into a kept spectrum, such as the half spectra of
+the velocity's and the director's derivative bundles: the passes that
+read it write into temporaries only, and the bundles store their arrays
+read-only.
 """
 
 from __future__ import annotations
@@ -297,40 +299,9 @@ def values_and_gradient(grid: Grid2D, h: np.ndarray) -> list[np.ndarray]:
             _irfft2(1j * grid.ky * h, nx, overwrite=True)]
 
 
-def derivative_arrays(grid: Grid2D, a: np.ndarray,
-                      order: int = 1) -> list[np.ndarray]:
-    """[dx a, dy a] at order 1, then lap a at order 2, all from one forward
-    transform of a (gradient_and_spectrum).
-
-    a has shape (..., ny, nx); leading axes stack fields that are
-    transformed together, and every output has the shape of a.
-    """
-    *out, h = gradient_and_spectrum(grid, a)
-    if order >= 2:
-        out.append(_irfft2(-grid.k2 * h, grid.nx, overwrite=True))
-    return out
-
-
-def parseval_derivatives(grid: Grid2D, a: np.ndarray,
-                         order: int = 1) -> list:
-    """Gradient integrals by Parseval's identity on the half spectrum,
-    summed over the leading axes of a: [int |grad a|^2] at order 1, then
-    lap a at order 2 and int |grad lap a|^2 at order 3. One forward
-    transform of a, and one inverse for lap a from order 2 on.
-    """
-    h = half_spectrum(a)
-    out = [_gradient_integral(grid, h)]
-    if order >= 2:
-        h = -grid.k2 * h
-        out.append(_irfft2(h, grid.nx, overwrite=order == 2))
-    if order >= 3:
-        out.append(_gradient_integral(grid, h))
-    return out
-
-
-def _gradient_integral(grid: Grid2D, h: np.ndarray) -> float:
-    """int |grad f|^2, summed over leading axes, from the half spectrum h
-    of f."""
+def gradient_integral(grid: Grid2D, h: np.ndarray) -> float:
+    """int |grad f|^2 by Parseval's identity, summed over leading axes,
+    from the half spectrum h of f."""
     return float(np.vdot(h, grid.gradient_weight * h).real)
 
 
@@ -387,7 +358,7 @@ def vector_lp_norm(v: VectorField2D, p: float) -> float:
 
 
 def gradient(f: ScalarField2D) -> VectorField2D:
-    gx, gy = derivative_arrays(f.grid, f.values)
+    gx, gy, _ = gradient_and_spectrum(f.grid, f.values)
     return VectorField2D.from_arrays(f.grid, gx, gy)
 
 
@@ -405,7 +376,7 @@ def divergence(v: VectorField2D) -> ScalarField2D:
 def velocity_from_stream(psi: ScalarField2D) -> VectorField2D:
     """Solenoidal field (-d(psi)/dy, d(psi)/dx); exactly divergence-free
     and mean-free as measured by the spectral operators."""
-    gx, gy = derivative_arrays(psi.grid, psi.values)
+    gx, gy, _ = gradient_and_spectrum(psi.grid, psi.values)
     return VectorField2D.from_arrays(psi.grid, -gy, gx)
 
 

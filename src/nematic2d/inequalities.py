@@ -18,8 +18,8 @@ import numpy as np
 
 from .diagnostics import velocity_grad_l2_sq
 from .fields import (Grid2D, ScalarField2D, VectorField2D,
-                     derivative_arrays, integral, lp_norm, lp_norm_array,
-                     parseval_derivatives, real_array)
+                     gradient_and_spectrum, gradient_integral, half_spectrum,
+                     integral, lp_norm, lp_norm_array, real_array)
 
 # families must fall by >= 8 e-foldings before the edge; a Gaussian does so
 # when sigma <= min(lx, ly)/8
@@ -37,7 +37,7 @@ class InequalityReport:
 
 
 def grad_l2(f: ScalarField2D) -> float:
-    return math.sqrt(parseval_derivatives(f.grid, f.values)[0])
+    return math.sqrt(gradient_integral(f.grid, half_spectrum(f.values)))
 
 
 def check_ladyzhenskaya(f: ScalarField2D, tol: float = 1e-9,
@@ -100,7 +100,7 @@ def check_log_sobolev(times, fields, s: float, t: float, q: float,
 
     rows = []
     for f in window:
-        gx, gy = derivative_arrays(f.grid, f.values)
+        gx, gy, _ = gradient_and_spectrum(f.grid, f.values)
         gsq = gx * gx + gy * gy
         rows.append((lp_norm(f, np.inf) ** 2,
                      lp_norm(f, 2.0) ** 2 + integral(f.grid, gsq),

@@ -131,13 +131,20 @@ def velocity_derivatives(u: VectorField2D) -> list[np.ndarray]:
     or one read from a snapshot, gets u_hat from one forward transform and
     the gradient from it (fields.gradient_and_spectrum) on first request.
     The foot points, the diagnostics sample and the next momentum step
-    read it, and that step, its last reader, drops it. A caller must not
-    write into the arrays.
+    read it, and that step, its last reader, drops it. The arrays are
+    stored read-only, so no reader can write into them.
     """
     bundle = vars(u).get(_BUNDLE)
     if bundle is None:
-        bundle = gradient_and_spectrum(u.grid, u.as_array())
-        object.__setattr__(u, _BUNDLE, bundle)
+        bundle = _keep(u, gradient_and_spectrum(u.grid, u.as_array()))
+    return bundle
+
+
+def _keep(u, bundle):
+    """Memoize bundle on u, its arrays made read-only; returns it."""
+    for a in bundle:
+        a.setflags(write=False)
+    object.__setattr__(u, _BUNDLE, bundle)
     return bundle
 
 
@@ -232,7 +239,7 @@ def step_momentum(rho: ScalarField2D, u: VectorField2D, force: VectorField2D,
         info["cg_residual"] = residual
     w, dx, dy = values_and_gradient(g, h)
     out = VectorField2D.from_arrays(g, w[0], w[1])
-    object.__setattr__(out, _BUNDLE, [dx, dy, h])
+    _keep(out, [dx, dy, h])
     return out
 
 

@@ -25,8 +25,8 @@ from . import diagnostics as diag
 from .config import SimConfig
 from .director import (DegenerateDirectorError, ericksen_stress,
                        step_director, unit_drift)
-from .fields import (NonFiniteError, integral, parseval_derivatives,
-                     spectral_tail_fraction)
+from .fields import (NonFiniteError, gradient_integral, half_spectrum,
+                     integral, spectral_tail_fraction)
 from .io import export_heatmap, read_csv, write_csv, write_snapshot
 from .momentum import (ConvergenceError, kinetic_energy, material_derivative,
                        step_momentum, velocity_derivatives)
@@ -223,7 +223,7 @@ def _sample(state: SimState, cfg: SimConfig, mon: RunMonitors, dt: float
         dt_h1 = integral(g, dtd * dtd)
         # a difference of constants has no gradient
         if not (d.is_constant and prev.d.is_constant):
-            dt_h1 += parseval_derivatives(g, dtd)[0]
+            dt_h1 += gradient_integral(g, half_spectrum(dtd))
     phi = replace(mon.phi)
     phi.update(state.t, rho_udot + dt_h1 + (hess + n.third_l2_sq),
                grad_u + (gd2 + hess))
@@ -273,6 +273,8 @@ def _summary(cfg: SimConfig, state: SimState, mon: RunMonitors,
         "energy_monotone": mon.max_energy_excess <= 0.0,
         "max_energy_excess": mon.max_energy_excess,
         "energy_budget_residual_max": mon.energy_budget_residual_max,
+        "energy_budget_residual_rel": (mon.energy_budget_residual_max
+                                       / mon.e0 if mon.e0 > 0.0 else None),
         "d3_min_initial": mon.d3_min0,
         "d3_min_run": None if mon.d3_run_min is np.inf else mon.d3_run_min,
         "d3_floor_held": bool(mon.d3_run_min >= mon.d3_min0 - D3_FLOOR_SLACK),

@@ -9,7 +9,7 @@ import numpy as np
 from nematic2d import (DirectorField2D, ScalarField2D, VectorField2D,
                        director_grad_l2_sq, director_norms, kinetic_energy,
                        velocity_from_stream, velocity_grad_l2_sq)
-from nematic2d.fields import apply_multiplier, derivative_arrays
+from nematic2d.fields import apply_multiplier
 
 
 # every transform numpy.fft offers, so that a call routed through any of
@@ -169,7 +169,7 @@ def basic_energy(rho, u, d):
 def ericksen_tensor(d):
     """Elastic stress M = grad(d) (x) grad(d) - |grad d|^2/2 I as the arrays
     (m11, m12, m22); M is symmetric and trace-free."""
-    grads = [derivative_arrays(d.grid, c.values) for c in d.components]
+    grads = [fft2_derivatives(d.grid, c.values, 1) for c in d.components]
     gsq = sum(gx * gx + gy * gy for gx, gy in grads)
     m11 = sum(gx * gx for gx, _ in grads) - 0.5 * gsq
     m12 = sum(gx * gy for gx, gy in grads)
@@ -179,7 +179,7 @@ def ericksen_tensor(d):
 def stress_divergence(grid, m11, m12, m22):
     """Row-wise divergence (d1 m11 + d2 m12, d1 m12 + d2 m22)."""
     (d1m11, _), (d1m12, d2m12), (_, d2m22) = (
-        derivative_arrays(grid, m) for m in (m11, m12, m22))
+        fft2_derivatives(grid, m, 1) for m in (m11, m12, m22))
     return VectorField2D.from_arrays(grid, d1m11 + d2m12, d1m12 + d2m22)
 
 
@@ -287,7 +287,7 @@ def momentum_system(rho, u, force, dt):
     u1, u2 = u.u1.values, u.u2.values
     rows = []
     for c, f in ((u1, force.u1.values), (u2, force.u2.values)):
-        cx, cy, lap = derivative_arrays(g, c, 2)
+        cx, cy, lap = fft2_derivatives(g, c, 2)
         rows.append(a * c - rv * (u1 * cx + u2 * cy) - f + 0.5 * lap)
     half_k2 = 0.5 * g.k2
     minv = 1.0 / (rv.mean() / dt + half_k2)

@@ -10,7 +10,7 @@ from nematic2d import (DegenerateDirectorError, DirectorField2D, Grid2D,
                        leray_project, renormalize, simulate, step_director,
                        unit_drift)
 from nematic2d.director import _BUNDLE, FLOOR
-from nematic2d.fields import derivative_arrays, integral
+from nematic2d.fields import half_spectrum, integral, real_array
 
 from helpers import (circle_director, count_transforms, ericksen_tensor,
                      fd_gradient, fd_laplacian, random_unit_director,
@@ -81,10 +81,10 @@ class TestStepDirector:
         rng = np.random.default_rng(33)
         d = renormalize(random_unit_director(grid, rng))
         u = solenoidal_field(grid, rng, amplitude=0.5)
-        _, gsq = director_derivatives(d)
+        ders, gsq = director_derivatives(d)
         ip = sq = 0.0
-        for c in d.components:
-            gx, gy, lap = derivative_arrays(grid, c.values, 2)
+        for c, (gx, gy, h) in zip(d.components, ders):
+            lap = real_array(grid, h, -grid.k2)
             rhs = (-(u.u1.values * gx + u.u2.values * gy)
                    + lap + gsq * c.values)
             ip += integral(grid, rhs * c.values)
@@ -120,18 +120,32 @@ class TestDerivativeBundle:
         d = random_unit_director(grid, np.random.default_rng(5))
         ericksen_stress(d)
         before = calls.calls()
-        grads, gsq = director_derivatives(d)
+        ders, gsq = director_derivatives(d)
         assert calls.calls() == before
-        fresh_grads, fresh_gsq = director_derivatives(
+        fresh_ders, fresh_gsq = director_derivatives(
             DirectorField2D.from_arrays(grid, *d.as_array()))
         # per component: rfft, irfft for dx, fft, then ifft, irfft for dy
         assert calls.calls() == before + 15
         assert np.array_equal(gsq, fresh_gsq)
-        for pair, fresh in zip(grads, fresh_grads):
-            assert len(pair) == len(fresh) == 2
-            for a, b in zip(pair, fresh):
+        # [dx c, dy c, c_hat] per component, c_hat the half spectrum
+        for c, entry, fresh in zip(d.components, ders, fresh_ders):
+            assert len(entry) == len(fresh) == 3
+            for a, b in zip(entry, fresh):
                 assert np.array_equal(a, b)
+            assert np.array_equal(entry[2], half_spectrum(c.values))
         assert director_derivatives(d)[1] is gsq
+
+    def test_norms_read_the_seeded_spectra(self, grid, calls):
+        # director_norms takes lap c and int |grad lap c|^2 from c_hat:
+        # one inverse transform per component, ifft and irfft
+        d = random_unit_director(grid, np.random.default_rng(9))
+        fresh = DirectorField2D.from_arrays(grid, *d.as_array())
+        ericksen_stress(d)
+        before = calls.calls()
+        seeded = director_norms(d)
+        assert calls.calls() == before + 6
+        assert seeded == director_norms(fresh)
+        assert calls.calls() == before + 6 + 15 + 6
 
     def test_step_drops_its_input_bundle(self, grid, calls):
         d = random_unit_director(grid, np.random.default_rng(6))
@@ -195,8 +209,8 @@ class TestConstantDirector:
         assert np.array_equal(step_director(fast, u, 1e-3).as_array(),
                               step_director(slow, u, 1e-3).as_array())
         assert not ericksen_stress(slow).as_array().any()
-        grads, gsq = director_derivatives(fast)
-        assert not gsq.any() and not any(a.any() for p in grads for a in p)
+        ders, gsq = director_derivatives(fast)
+        assert not gsq.any() and not any(a.any() for x in ders for a in x)
         assert director_norms(slow) == director_norms(fast)
 
     def test_step_drops_the_bundle_it_stepped_from(self, grid, calls):

@@ -6,10 +6,9 @@ from nematic2d import (Grid2D, ScalarField2D, VectorField2D, divergence,
                        material_derivative, spectral_tail_fraction,
                        vector_lp_norm, velocity_from_stream,
                        velocity_grad_l2_sq)
-from nematic2d.fields import (TAIL_CUT, _gradient_integral, _irfft2,
-                              apply_multiplier, derivative_arrays,
-                              gradient_and_spectrum, half_spectrum, integral,
-                              parseval_derivatives, project_spectrum,
+from nematic2d.fields import (TAIL_CUT, _irfft2, apply_multiplier,
+                              gradient_and_spectrum, gradient_integral,
+                              half_spectrum, integral, project_spectrum,
                               real_array, values_and_gradient)
 from nematic2d.inequalities import grad_l2
 
@@ -222,7 +221,9 @@ class TestHalfSpectrum:
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_derivatives_match_oracle(self, grid, data, order):
-        got = derivative_arrays(grid, data[0], order)
+        # [dx, dy] from the forward pass, then lap from its half spectrum
+        dx, dy, h = gradient_and_spectrum(grid, data[0])
+        got = [dx, dy] + [real_array(grid, h, -grid.k2)] * (order - 1)
         want = fft2_derivatives(grid, data[0], order)
         assert len(got) == len(want) == order + 1
         for a, b in zip(got, want):
@@ -255,7 +256,7 @@ class TestHalfSpectrum:
         kept = h.copy()
         got = values_and_gradient(grid, h)
         assert np.array_equal(got[0], w)
-        for a, b in zip(got[1:], derivative_arrays(grid, w)):
+        for a, b in zip(got[1:], gradient_and_spectrum(grid, w)[:2]):
             assert_matches(a, b)
         assert np.array_equal(h, kept)
 
@@ -276,24 +277,22 @@ class TestHalfSpectrum:
             assert_matches(a, b)
 
     @pytest.mark.parametrize("shape", [(24, 16, 2.0, 1.0), (32, 32, 1.0, 1.0)])
-    def test_parseval_derivatives_match_real_space(self, shape):
+    def test_gradient_integrals_match_real_space(self, shape):
         # white noise populates the Nyquist row and column, whose first
-        # derivatives derivative_arrays drops
+        # derivatives gradient_and_spectrum drops
         g = Grid2D(*shape)
         a = np.random.default_rng(47).standard_normal((2,) + g.shape)
-        ders = derivative_arrays(g, a, 2)
-        grad, lap, grad_lap = parseval_derivatives(g, a, 3)
-        assert grad == pytest.approx(
-            integral(g, ders[0] ** 2 + ders[1] ** 2), rel=1e-12, abs=0.0)
-        assert np.array_equal(lap, ders[2])
-        lx, ly = derivative_arrays(g, ders[2])
-        assert grad_lap == pytest.approx(
+        dx, dy, h = gradient_and_spectrum(g, a)
+        assert gradient_integral(g, h) == pytest.approx(
+            integral(g, dx**2 + dy**2), rel=1e-12, abs=0.0)
+        lap_h = -g.k2 * h
+        lx, ly, _ = gradient_and_spectrum(g, real_array(g, lap_h))
+        assert gradient_integral(g, lap_h) == pytest.approx(
             integral(g, lx * lx + ly * ly), rel=1e-12, abs=0.0)
-        # one field alone, at order 1
-        gx, gy = derivative_arrays(g, a[1])
-        (one,) = parseval_derivatives(g, a[1])
-        assert one == pytest.approx(integral(g, gx * gx + gy * gy),
-                                    rel=1e-12, abs=0.0)
+        # one field alone
+        gx, gy, _ = gradient_and_spectrum(g, a[1])
+        assert gradient_integral(g, half_spectrum(a[1])) == pytest.approx(
+            integral(g, gx * gx + gy * gy), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("shape", [(24, 16, 2.0, 1.0), (32, 32, 1.0, 1.0)])
     def test_spectral_tail_fraction_matches_oracle(self, shape):
@@ -375,16 +374,17 @@ class TestTransformPair:
         assert_matches(dx, _irfft2(1j * g.kx * kept, nx), rel=1e-13)
         assert np.array_equal(dy, _irfft2(1j * g.ky * kept, nx))
 
-    def test_order_three_reads_the_kept_laplacian_spectrum(self):
-        # the order-2 inverse transform must not overwrite -k^2 h, which
-        # the order-3 gradient integral reads after it
+    def test_laplacian_leaves_its_spectrum_for_the_third_derivatives(self):
+        # the inverse transform of -k^2 h must not overwrite it, since the
+        # gradient integral of lap a reads it after (diagnostics'
+        # director_norms)
         g = Grid2D(16, 10, 1.6, 1.0)
         a = np.random.default_rng(67).standard_normal((2,) + g.shape)
         lap_h = -g.k2 * np.fft.rfft2(a)
-        grad, lap, grad_lap = parseval_derivatives(g, a, 3)
-        assert grad == _gradient_integral(g, np.fft.rfft2(a))
-        assert np.array_equal(lap, np.fft.irfft2(lap_h, s=g.shape))
-        assert grad_lap == _gradient_integral(g, lap_h)
+        kept = lap_h.copy()
+        lap = real_array(g, lap_h)
+        assert np.array_equal(lap_h, kept)
+        assert np.array_equal(lap, np.fft.irfft2(kept, s=g.shape))
 
 
 class TestConstantField:

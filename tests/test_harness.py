@@ -18,6 +18,8 @@ from nematic2d import (Grid2D, RunMonitors, ScalarField2D, SimConfig,
                        write_snapshot)
 from nematic2d import diagnostics, simulation
 from nematic2d.cli import main as cli_main
+from nematic2d.director import director_derivatives
+from nematic2d.fields import half_spectrum
 from nematic2d.io import CSV_COLUMNS
 from nematic2d.momentum import _BUNDLE, velocity_derivatives
 from nematic2d.simulation import (STEP_STAGES, _sample, energy_slack,
@@ -57,6 +59,21 @@ out_dir = runs/demo
         assert cfg.scenario == "vacuum-bubble"
         assert cfg.scenario_params == {"vortex_amp": 0.25}
         assert cfg.out_dir == "runs/demo"
+
+    @pytest.mark.parametrize("first, again", [
+        ("nx = 32", "nx = 16"), ("e1 = 0", "e1 = 1"),
+        ("scenario.vortex_amp = 0.25", "scenario.vortex_amp = 0.5")])
+    def test_repeated_key_is_an_error(self, tmp_path, first, again):
+        # the last value used to win silently
+        path = tmp_path / "twice.cfg"
+        path.write_text(f"{first}\nscenario = small-director\n# again\n"
+                        f"{again}\n")
+        key = first.partition(" =")[0]
+        with pytest.raises(ValueError) as exc:
+            parse_config(path)
+        assert str(exc.value) == (f"{path}:4: duplicate key {key!r} "
+                                  "(first set on line 1)")
+        assert cli_main(["run", str(path)]) == 2
 
     def test_unknown_key_is_an_error(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -528,6 +545,31 @@ class TestEnergyBudget:
         coarse, fine = self.residuals("vacuum-bubble")
         assert fine * 1.8 <= coarse  # measured 0.090 -> 0.077
 
+    @pytest.mark.parametrize("dt, want", [(None, 41.05 / 16.41),
+                                          (1e-3, 0.1431)])
+    def test_relative_residual_shows_a_broken_law(self, dt, want):
+        # CFL mode takes 4 steps, too long for the director's reaction
+        # (ROADMAP item 11): the law breaks by 2.5 times E(0), against 14%
+        # at the fixed dt
+        res = simulate(SimConfig(nx=64, ny=64, dt=dt, t_end=0.05,
+                                 scenario="angle-condition"),
+                       write_files=False)
+        rel = res.summary["energy_budget_residual_rel"]
+        assert rel == (res.summary["energy_budget_residual_max"]
+                       / res.monitors.e0)
+        assert rel == pytest.approx(want, rel=2e-3)
+
+    def test_relative_residual_is_null_without_energy(self, tmp_path,
+                                                      capsys):
+        cfg = tmp_path / "rest.cfg"
+        cfg.write_text("nx = 16\nny = 16\ndt = 0.001\nt_end = 0.002\n"
+                       f"scenario = rest\nout_dir = {tmp_path / 'out'}\n")
+        assert cli_main(["run", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert "budget residual max 0 (None of E(0))" in out
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["energy_budget_residual_rel"] is None
+
     def test_residual_matches_the_records(self):
         res = simulate(SimConfig(nx=32, ny=32, dt=1e-3, t_end=0.02,
                                  cadence=2, scenario="vacuum-bubble"),
@@ -647,14 +689,38 @@ class TestDemos:
                                                              alias.name)
 
 
+class TestKeptSpectra:
+    """The velocity's and the director's derivative bundles store their
+    arrays read-only, so no reader can write into a kept spectrum."""
+
+    def test_bundles_are_read_only_and_keep_their_spectra(self):
+        cfg = SimConfig(nx=32, ny=32, dt=1e-3, scenario="angle-condition")
+        state = initial_state(cfg)
+        mon = RunMonitors.fresh(cfg, state)
+        _sample(state, cfg, mon, cfg.dt)
+        state = step_once(state, cfg, cfg.dt)
+        ux, _, u_hat = velocity_derivatives(state.u)
+        kept = u_hat.copy()
+        mon.serrin.update(state.d, cfg.dt)
+        _sample(state, cfg, mon, cfg.dt)
+        ders, grad_sq = director_derivatives(state.d)
+        for a in (ux, u_hat, ders[0][2], grad_sq):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] += 1.0
+        assert np.array_equal(u_hat, kept)
+        for c, (_, _, c_hat) in zip(state.d.components, ders):
+            assert np.array_equal(c_hat, half_spectrum(c.values))
+
+
 class TestTransformBudget:
     """numpy.fft calls per stage at 32^2, pinned as measured: a change
     that adds a pass to a stage shows here. A 2-D transform is two calls,
     its x-pass and its y-pass, and a derivative along x takes the x-pass
-    alone. Each director is transformed once: RunMonitors.fresh (or the
-    scenario) and then ericksen_stress seed its derivative bundle, which
-    the Serrin update, the samples and the next director step read. A
-    constant director, vacuum-bubble's, is not transformed at all. The
+    alone. Each director is transformed forward once: RunMonitors.fresh
+    (or the scenario) and then ericksen_stress seed its derivative bundle
+    [dx c, dy c, c_hat] per component, which the Serrin update, the
+    samples and the next director step read. A constant director,
+    vacuum-bubble's, is not transformed at all. The
     velocity has the same rule: step_momentum seeds its derivative bundle
     [dx u, dy u, u_hat] from the half spectrum it holds, with five inverse
     passes, and the sample and the next step read it, so neither
@@ -699,11 +765,11 @@ class TestTransformBudget:
         constant = scenario == "vacuum-bubble"  # its director is constant
         # the director step (one transform pair per component), the stress
         # (per component rfft, irfft for dx, fft, and ifft, irfft for each
-        # of dy and lap) and director_norms (a forward transform and the
-        # inverse of lap per component)
-        step, stress, norms = (0, 0, 0) if constant else (12, 21, 12)
+        # of dy and lap) and director_norms (the inverse of lap from the
+        # bundle's c_hat per component)
+        step, stress, norms = (0, 0, 0) if constant else (12, 21, 6)
         n, mon = cost(RunMonitors.fresh, cfg, state)
-        # the director's order-1 pass, unless the scenario made it
+        # the director's bundle, unless the scenario made it
         assert n <= (0 if constant else 15)
         # the first sample makes the initial velocity's bundle: rfft,
         # irfft for dx, fft, then ifft, irfft for dy
