@@ -29,8 +29,8 @@ values_and_gradient reads a and dx a from one y-pass of a kept spectrum.
 Passes per call on real a: 5 for gradient_and_spectrum (rfft, irfft;
 fft; ifft, irfft), 4 for apply_multiplier. From a kept spectrum h:
 values_and_gradient 5 (ifft, irfft, irfft; ifft, irfft), lap a =
-real_array(grid, h, -k2) 2, and int |grad a|^2 = gradient_integral(grid,
-h) none. Nobody writes into a kept spectrum, such as the half spectra of
+real_array(grid, h, -k2) 2, and gradient_integral and divergence_integral
+none. Nobody writes into a kept spectrum, such as the half spectra of
 the velocity's and the director's derivative bundles: the passes that
 read it write into temporaries only, and the bundles store their arrays
 read-only.
@@ -108,18 +108,14 @@ class Grid2D:
         return (kx**2)[None, :] + (ky**2)[:, None]
 
     # |k|^2 of the first-derivative kx/ky (Nyquist dropped), which the
-    # Leray projection divides by, its zero modes and a safe divisor
+    # Leray projection divides by, and a divisor that is 1 where it is 0
     @cached_property
     def grad_k2(self) -> np.ndarray:
         return self.kx**2 + self.ky**2
 
     @cached_property
-    def grad_k2_zero(self) -> np.ndarray:
-        return self.grad_k2 == 0.0
-
-    @cached_property
     def grad_k2_divisor(self) -> np.ndarray:
-        return np.where(self.grad_k2_zero, 1.0, self.grad_k2)
+        return np.where(self.grad_k2 == 0.0, 1.0, self.grad_k2)
 
     # Parseval weight of each half-spectrum column: columns 1 .. nx/2 - 1
     # stand for themselves and their conjugate modes
@@ -129,12 +125,15 @@ class Grid2D:
         w[0] = w[self.nx // 2] = 1.0
         return w[None, :]
 
-    # int |grad f|^2 = sum(gradient_weight * |rfft2(f)|^2), with the kx/ky
-    # of first derivatives (Nyquist dropped)
+    # int f^2 = sum(parseval_weight * |rfft2(f)|^2), and int |grad f|^2
+    # with gradient_weight, the kx/ky of first derivatives (Nyquist dropped)
+    @cached_property
+    def parseval_weight(self) -> np.ndarray:
+        return self.column_weight * (self.cell_area / (self.nx * self.ny))
+
     @cached_property
     def gradient_weight(self) -> np.ndarray:
-        return (self.grad_k2 * self.column_weight
-                * (self.cell_area / (self.nx * self.ny)))
+        return self.grad_k2 * self.parseval_weight
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,6 +304,12 @@ def gradient_integral(grid: Grid2D, h: np.ndarray) -> float:
     return float(np.vdot(h, grid.gradient_weight * h).real)
 
 
+def divergence_integral(grid: Grid2D, h: np.ndarray) -> float:
+    """int (div v)^2 by Parseval's identity, from v's stacked half spectrum."""
+    kh = grid.kx * h[0] + grid.ky * h[1]
+    return float(np.vdot(kh, grid.parseval_weight * kh).real)
+
+
 def apply_multiplier(grid: Grid2D, a: np.ndarray, m) -> np.ndarray:
     """Inverse transform of the Fourier multiplier m times the transform of
     a; m is laid out like grid.k2, on the rfft2 half spectrum (ny, nx//2 + 1).
@@ -336,10 +341,9 @@ def project_spectrum(grid: Grid2D, h: np.ndarray) -> np.ndarray:
     """Remove the gradient part of the stacked half spectrum h
     (2, ny, nx//2 + 1) in place, leaving the divergence-free part as in
     leray_project; returns the coefficient c = (k . h)/|k|^2 with
-    grad(phi)_hat = k c."""
+    grad(phi)_hat = k c. Where |k|^2 = 0, kx = ky = 0, so c = 0."""
     kx, ky = grid.kx, grid.ky
-    coeff = np.where(grid.grad_k2_zero, 0.0,
-                     (kx * h[0] + ky * h[1]) / grid.grad_k2_divisor)
+    coeff = (kx * h[0] + ky * h[1]) / grid.grad_k2_divisor
     h[0] -= kx * coeff
     h[1] -= ky * coeff
     return coeff

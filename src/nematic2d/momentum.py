@@ -26,16 +26,16 @@ recurrence can drift, the true residual b - A x is formed once the
 recursive one meets the tolerance, and CG restarts from it if it misses. A
 restart whose true residual is not below the previous restart's cannot help
 (rounding floors the residual), so the solve then fails at once instead of
-spending the iteration cap. The projection takes one more forward
-transform.
+spending the iteration cap. The solve returns the half spectrum its exit
+check transformed.
 
-Either way the new velocity is born in spectral space, and step_momentum
-seeds its derivative bundle (velocity_derivatives: grad(u) and u_hat) from
-that half spectrum with inverse passes only; one y-pass serves both u and
-dx u (fields.values_and_gradient). The next step's foot points, the
-diagnostics sample and the next momentum step read the bundle, and that
-step drops it, so no stage transforms a stepped velocity forward again.
-(u . grad)u is formed in advection alone.
+Either way step_momentum projects a half spectrum, at one call site, and
+seeds the new velocity's derivative bundle (velocity_derivatives:
+(u . grad)u and u_hat) from it with inverse passes only; one y-pass serves
+both u and dx u (fields.values_and_gradient). The next step's foot points,
+the diagnostics sample and the next momentum step read the bundle, and
+that step drops it, so no stage transforms a stepped velocity forward
+again and (u . grad)u is formed once per velocity.
 """
 
 from __future__ import annotations
@@ -62,19 +62,20 @@ class ConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
-def _pcg(apply_m, apply_minv, shift, b, tol, max_iter):
+def _pcg(grid, m, apply_minv, shift, b, tol, max_iter):
     """Preconditioned CG for A = M + shift on stacked (2, ny, nx) arrays.
 
-    apply_m and apply_minv apply M and its exact inverse and return new
-    arrays; shift is a pointwise multiplier. M p is carried by recurrence,
-    so apply_minv is the only operator applied per iteration; apply_m is
-    applied once per exit check of the true residual. Returns the solution,
-    the iteration count and the true relative residual ||b - A x|| / ||b||.
+    M is the multiplier m on grid's half spectrum, apply_minv applies its
+    exact inverse and returns a new array, and shift is pointwise. M p is
+    carried by recurrence, so apply_minv is the only operator applied per
+    iteration; M is applied once per exit check of the true residual, to
+    the half spectrum of x. Returns that half spectrum, the iteration count
+    and the true relative residual ||b - A x|| / ||b||.
     """
     bnorm = math.sqrt(np.vdot(b, b))
     x = np.zeros_like(b)
     if bnorm == 0.0:
-        return x, 0, 0.0
+        return half_spectrum(x), 0, 0.0
     r = b.copy()
     k = 0
     last = math.inf  # true residual at the previous restart
@@ -108,11 +109,12 @@ def _pcg(apply_m, apply_minv, shift, b, tol, max_iter):
             mp *= beta
             mp += r
         p = mp = ap = None
-        np.subtract(b, apply_m(x), out=r)
+        h = half_spectrum(x)
+        np.subtract(b, real_array(grid, h, m), out=r)
         r -= shift * x
         residual = math.sqrt(np.vdot(r, r)) / bnorm
         if residual <= tol:
-            return x, k, residual
+            return h, k, residual
         if residual >= last:
             raise ConvergenceError(
                 f"CG stalled at residual {residual:.3g} > tol {tol:g} after "
@@ -121,39 +123,42 @@ def _pcg(apply_m, apply_minv, shift, b, tol, max_iter):
 
 
 def velocity_derivatives(u: VectorField2D) -> list[np.ndarray]:
-    """[dx u, dy u, u_hat]: u's derivative bundle, memoized on u like a
-    director's, with dx u and dy u stacked (2, ny, nx) arrays and u_hat
-    the stacked (2, ny, nx//2 + 1) half spectrum of u. A VectorField2D is
-    frozen and its values are read-only, so the bundle cannot go stale.
+    """[(u . grad)u, u_hat]: u's derivative bundle, memoized on u, with
+    (u . grad)u stacked (2, ny, nx) and u_hat the stacked (2, ny, nx//2 + 1)
+    half spectrum of u. A VectorField2D is frozen and its values are
+    read-only, so the bundle cannot go stale.
 
-    step_momentum seeds it on the velocity it returns, from the half
+    step_momentum seeds it on the velocity it returns from the half
     spectrum it holds; a velocity without one, such as an initial velocity
-    or one read from a snapshot, gets u_hat from one forward transform and
-    the gradient from it (fields.gradient_and_spectrum) on first request.
-    The foot points, the diagnostics sample and the next momentum step
-    read it, and that step, its last reader, drops it. The arrays are
-    stored read-only, so no reader can write into them.
+    or one read from a snapshot, gets u_hat and the gradient from one
+    forward transform (fields.gradient_and_spectrum) on first request.
+    Either way u1 dx u + u2 dy u is formed once and the gradient is not
+    kept. The foot points, the diagnostics sample and the next momentum
+    step read the bundle, and that step, its last reader, drops it. Its
+    arrays are stored read-only, so no reader can write into them.
     """
     bundle = vars(u).get(_BUNDLE)
     if bundle is None:
-        bundle = _keep(u, gradient_and_spectrum(u.grid, u.as_array()))
+        bundle = _keep(u, *gradient_and_spectrum(u.grid, u.as_array()))
     return bundle
 
 
-def _keep(u, bundle):
-    """Memoize bundle on u, its arrays made read-only; returns it."""
-    for a in bundle:
-        a.setflags(write=False)
+def _keep(u, dx, dy, h):
+    """Memoize [(u . grad)u, h] on u, read-only, forming (u . grad)u in dx
+    (and writing into dy); returns the bundle."""
+    dx *= u.u1.values
+    dx += np.multiply(u.u2.values, dy, out=dy)
+    dx.setflags(write=False)
+    h.setflags(write=False)
+    bundle = [dx, h]
     object.__setattr__(u, _BUNDLE, bundle)
     return bundle
 
 
 def advection(u: VectorField2D) -> np.ndarray:
-    """(u . grad)u as a stacked (2, ny, nx) array, from u's bundle."""
-    dx, dy, _ = velocity_derivatives(u)
-    adv = u.u1.values * dx
-    adv += u.u2.values * dy
-    return adv
+    """(u . grad)u as a stacked (2, ny, nx) array: the read-only array of
+    u's bundle, which readers must not write into."""
+    return velocity_derivatives(u)[0]
 
 
 def _right_side(rv, u, force, dt):
@@ -163,28 +168,25 @@ def _right_side(rv, u, force, dt):
     soon as it is used."""
     b = (rv / dt) * u.as_array()
     b -= rv * advection(u)
-    b += real_array(u.grid, vars(u).pop(_BUNDLE)[2], -0.5 * u.grid.k2)
+    b += real_array(u.grid, vars(u).pop(_BUNDLE)[1], -0.5 * u.grid.k2)
     b[0] -= force.u1.values
     b[1] -= force.u2.values
     return b
 
 
 def _spectral_step(rho, u, force, dt):
-    """Half spectrum of the step at the constant density rho, with
-    c = rho/dt: P(((c - k^2/2) u_hat - F[rho (u . grad)u + f])
-    / (c + k^2/2)), from one forward transform. u's bundle is dropped once
-    read."""
+    """Unprojected half spectrum of the step at the constant density rho,
+    ((c - k^2/2) u_hat - F[rho (u . grad)u + f]) / (c + k^2/2) with
+    c = rho/dt, from one forward transform; drops u's bundle once read."""
     g = u.grid
-    r = advection(u)
-    r *= rho
+    r = rho * advection(u)
     r[0] += force.u1.values
     r[1] += force.u2.values
     h = half_spectrum(r)
     del r
     c, half_k2 = rho / dt, 0.5 * g.k2
-    np.subtract((c - half_k2) * vars(u).pop(_BUNDLE)[2], h, out=h)
+    np.subtract((c - half_k2) * vars(u).pop(_BUNDLE)[1], h, out=h)
     h /= c + half_k2
-    project_spectrum(g, h)
     return h
 
 
@@ -200,10 +202,8 @@ def step_momentum(rho: ScalarField2D, u: VectorField2D, force: VectorField2D,
     given, it receives the CG iteration count (`cg_iterations`) and the
     true relative residual at exit (`cg_residual`). A constant density
     (rho.is_constant) is stepped in spectral space, without CG: 0
-    iterations and residual 0.0 mean that direct step.
-
-    (u . grad)u and u_hat come from u's bundle, which the step drops
-    before the solve.
+    iterations and residual 0.0 mean that direct step. (u . grad)u and
+    u_hat come from u's bundle, which the step drops before the solve.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -226,20 +226,16 @@ def step_momentum(rho: ScalarField2D, u: VectorField2D, force: VectorField2D,
         minv = 1.0 / m
         # the right side is passed as a temporary, so it is freed with the
         # solve
-        star, iters, residual = _pcg(lambda a: apply_multiplier(g, a, m),
-                                     lambda a: apply_multiplier(g, a, minv),
-                                     (rv - rho_bar) / dt,
-                                     _right_side(rv, u, force, dt), cg_tol,
-                                     cg_max_iter)
-        h = half_spectrum(star)
-        del star
-        project_spectrum(g, h)
+        h, iters, residual = _pcg(
+            g, m, lambda a: apply_multiplier(g, a, minv), (rv - rho_bar) / dt,
+            _right_side(rv, u, force, dt), cg_tol, cg_max_iter)
+    project_spectrum(g, h)
     if info is not None:
         info["cg_iterations"] = iters
         info["cg_residual"] = residual
     w, dx, dy = values_and_gradient(g, h)
     out = VectorField2D.from_arrays(g, w[0], w[1])
-    _keep(out, [dx, dy, h])
+    _keep(out, dx, dy, h)
     return out
 
 

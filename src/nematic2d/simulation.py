@@ -25,8 +25,8 @@ from . import diagnostics as diag
 from .config import SimConfig
 from .director import (DegenerateDirectorError, ericksen_stress,
                        step_director, unit_drift)
-from .fields import (NonFiniteError, gradient_integral, half_spectrum,
-                     integral, spectral_tail_fraction)
+from .fields import (NonFiniteError, divergence_integral, gradient_integral,
+                     half_spectrum, integral, spectral_tail_fraction)
 from .io import export_heatmap, read_csv, write_csv, write_snapshot
 from .momentum import (ConvergenceError, kinetic_energy, material_derivative,
                        step_momentum, velocity_derivatives)
@@ -168,10 +168,10 @@ def step_once(state: SimState, cfg: SimConfig, dt: float,
     given, it receives step_momentum's CG entries and the wall time in
     seconds of each stage: `t_transport`, `t_director`, `t_force` and
     `t_momentum`. The velocity's derivative bundle
-    (momentum.velocity_derivatives) is made by the momentum step that
-    makes the velocity, so it counts in `t_momentum`; the foot points and
-    the momentum right side of the next step read it, and that right side
-    drops it."""
+    (momentum.velocity_derivatives: (u . grad)u and u_hat) is made by the
+    momentum step that makes the velocity, so it counts in `t_momentum`;
+    the foot points and the momentum right side of the next step read it,
+    and that right side drops it."""
     info = {} if info is None else info
     t0 = perf_counter()
     rho1 = advect_density(state.rho, state.u, dt, cfl_limit=cfg.cfl)
@@ -204,8 +204,8 @@ def _sample(state: SimState, cfg: SimConfig, mon: RunMonitors, dt: float
     ke = kinetic_energy(rho, u)
     n = diag.director_norms(d)
     gd2, hess = n.grad_l2_sq, n.hess_l2_sq
-    ux, uy, _ = velocity_derivatives(u)
-    grad_u = integral(g, ux * ux + uy * uy)
+    u_hat = velocity_derivatives(u)[1]
+    grad_u = gradient_integral(g, u_hat)
     energy = ke + gd2
     drift_q2 = (abs(diag.density_deviation(rho, cfg.rho_bar) - mon.rho0_q2)
                 / max(mon.rho0_q2, 1e-12))
@@ -234,7 +234,7 @@ def _sample(state: SimState, cfg: SimConfig, mon: RunMonitors, dt: float
         rho_drift_q2=drift_q2, d3_min=diag.d3_min(d), unit_drift=udrift,
         serrin_accumulated=mon.serrin.accumulated,
         phi_value=math.e + phi.sup + phi.integral,
-        ke=ke, divu_res=math.sqrt(integral(g, (ux[0] + uy[1]) ** 2)),
+        ke=ke, divu_res=math.sqrt(divergence_integral(g, u_hat)),
         tension_identity_residual=n.identity_residual)
 
     mon.phi = phi

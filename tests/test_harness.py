@@ -699,12 +699,12 @@ class TestKeptSpectra:
         mon = RunMonitors.fresh(cfg, state)
         _sample(state, cfg, mon, cfg.dt)
         state = step_once(state, cfg, cfg.dt)
-        ux, _, u_hat = velocity_derivatives(state.u)
+        adv, u_hat = velocity_derivatives(state.u)
         kept = u_hat.copy()
         mon.serrin.update(state.d, cfg.dt)
         _sample(state, cfg, mon, cfg.dt)
         ders, grad_sq = director_derivatives(state.d)
-        for a in (ux, u_hat, ders[0][2], grad_sq):
+        for a in (adv, u_hat, ders[0][2], grad_sq):
             with pytest.raises(ValueError, match="read-only"):
                 a[0, 0] += 1.0
         assert np.array_equal(u_hat, kept)
@@ -722,7 +722,7 @@ class TestTransformBudget:
     samples and the next director step read. A constant director,
     vacuum-bubble's, is not transformed at all. The
     velocity has the same rule: step_momentum seeds its derivative bundle
-    [dx u, dy u, u_hat] from the half spectrum it holds, with five inverse
+    [(u . grad)u, u_hat] from the half spectrum it holds, with five inverse
     passes, and the sample and the next step read it, so neither
     transforms that velocity again."""
 
@@ -756,9 +756,10 @@ class TestTransformBudget:
             # a constant density: the spectral step's forward transform (2)
             # and the seed's inverse passes (5). CG: lap(u) of the right
             # side (2), the first preconditioning and the exit check (4
-            # each), 4 per iteration after the first, the projection's
-            # forward transform (2) and the seed (5)
-            return 4 * iters + 13 if iters else 7
+            # each; the check's forward transform is the half spectrum the
+            # projection takes), 4 per iteration after the first and the
+            # seed (5)
+            return 4 * iters + 11 if iters else 7
 
         cfg = SimConfig(nx=32, ny=32, dt=1e-3, scenario=scenario)
         state = initial_state(cfg)
@@ -782,7 +783,7 @@ class TestTransformBudget:
         # velocity's
         assert n == step + stress + momentum(iters[0])
         assert cost(mon.serrin.update, state.d, cfg.dt)[0] == 0
-        # later samples read grad(u) and (u . grad)u from the bundle and
+        # later samples read u_hat and (u . grad)u from the bundle and
         # add one forward transform of d_t, unless both directors are
         # constant
         n = cost(_sample, state, cfg, mon, cfg.dt)[0]
