@@ -10,8 +10,8 @@ from .diagnostics import (DiagnosticsRecord, DirectorNorms, SampleIntegral,
                           admissible_exponents, d3_min, density_deviation,
                           director_grad_l2_sq, director_norms, serrin_norm,
                           smallness_condition, velocity_grad_l2_sq)
-from .director import (DegenerateDirectorError, director_derivatives,
-                       ericksen_stress, renormalize, step_director, unit_drift)
+from .director import (DegenerateDirectorError, ericksen_stress, renormalize,
+                       step_director, unit_drift)
 from .fields import (DirectorField2D, Grid2D, NonFiniteError, ScalarField2D,
                      VectorField2D, divergence, gradient, laplacian,
                      leray_project, lp_norm, spectral_tail_fraction,

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .director import director_derivatives
 from .fields import (DirectorField2D, NonFiniteError, ScalarField2D,
                      VectorField2D, gradient_integral, half_spectrum,
                      integral, lp_norm_array, real_array)
@@ -65,15 +64,15 @@ class DirectorNorms:
 
 
 def director_norms(d: DirectorField2D) -> DirectorNorms:
-    """All of DirectorNorms from d's memoized bundle (director_derivatives),
-    without a forward transform: each component c costs one inverse
-    transform of -k^2 c_hat, for lap c in real space, and int |grad lap c|^2
-    is taken by Parseval on the same -k^2 c_hat. A constant director
+    """All of DirectorNorms from d's bundle (d.derivatives), without a
+    forward transform: each component c costs one inverse transform of
+    -k^2 c_hat, for lap c in real space, and int |grad lap c|^2 is taken
+    by Parseval on the same -k^2 c_hat. A constant director
     (d.is_constant) has all norms zero, returned without a transform."""
     if d.is_constant:
         return DirectorNorms(0.0, 0.0, 0.0, 0.0, 0.0)
     g = d.grid
-    ders, gs = director_derivatives(d)
+    ders, gs = d.derivatives
     hess = third = tension = 0.0
     for (_, _, h), c in zip(ders, d.components):
         lap_h = -g.k2 * h
@@ -87,7 +86,7 @@ def director_norms(d: DirectorField2D) -> DirectorNorms:
 
 
 def director_grad_l2_sq(d: DirectorField2D) -> float:
-    return integral(d.grid, director_derivatives(d)[1])
+    return integral(d.grid, d.derivatives[1])
 
 
 def velocity_grad_l2_sq(u: VectorField2D) -> float:
@@ -157,13 +156,12 @@ class SerrinExponents:
 
 def serrin_norm(d: DirectorField2D, r: float) -> float:
     """L^r norm of the pointwise gradient magnitude |grad d|, from
-    |grad d|^2 in d's memoized bundle (director_derivatives) without its
-    square root: (int (|grad d|^2)^(r/2))^(1/r), or sqrt(max |grad d|^2)
-    for r = inf. Exactly 0.0 for a constant director, whose bundle holds
-    zero arrays."""
-    if r < 1:
+    |grad d|^2 in d's bundle (d.derivatives) without its square root:
+    (int (|grad d|^2)^(r/2))^(1/r), or sqrt(max |grad d|^2) for r = inf.
+    Exactly 0.0 for a constant director, whose bundle holds zero arrays."""
+    if not r >= 1:  # NaN fails too
         raise ValueError("r must be >= 1 or inf")
-    grad_sq = director_derivatives(d)[1]
+    grad_sq = d.derivatives[1]
     if r == np.inf:
         return math.sqrt(grad_sq.max())
     return integral(d.grid, grad_sq ** (0.5 * r)) ** (1.0 / r)

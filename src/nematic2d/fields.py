@@ -30,10 +30,22 @@ Passes per call on real a: 5 for gradient_and_spectrum (rfft, irfft;
 fft; ifft, irfft), 4 for apply_multiplier. From a kept spectrum h:
 values_and_gradient 5 (ifft, irfft, irfft; ifft, irfft), lap a =
 real_array(grid, h, -k2) 2, and gradient_integral and divergence_integral
-none. Nobody writes into a kept spectrum, such as the half spectra of
-the velocity's and the director's derivative bundles: the passes that
-read it write into temporaries only, and the bundles store their arrays
-read-only.
+none.
+
+The velocity and the director act on each other only through their
+derivatives, so each keeps them as one bundle, the cached property
+`derivatives`: a VectorField2D u keeps [(u . grad)u, u_hat] and a
+DirectorField2D d ([dx c, dy c, c_hat] per component c, |grad d|^2), each
+hat a half spectrum. Fields are frozen with read-only values, so a bundle
+cannot go stale. Only this module seeds or drops one:
+- seed: the first read makes it, from one forward transform per field
+  (none for a constant director), unless VectorField2D.from_spectrum,
+  which step_momentum calls, seeded it with inverse passes only;
+- read: readers read `.derivatives`; its arrays are read-only, and no
+  pass writes into a kept spectrum;
+- drop: a field's last reader in a step, step_momentum for the velocity
+  and step_director for the director, calls release(f), so that an older
+  field kept alive, such as the last sample, holds no bundle.
 """
 
 from __future__ import annotations
@@ -58,9 +70,12 @@ class Grid2D:
     ly: float
 
     def __post_init__(self) -> None:
-        if self.nx < 8 or self.ny < 8 or self.nx % 2 or self.ny % 2:
-            raise ValueError(f"grid sizes must be even and at least 8, got "
-                             f"nx={self.nx}, ny={self.ny}")
+        for n in (self.nx, self.ny):
+            if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
+                    or n < 8 or n % 2):
+                raise ValueError(f"grid sizes must be even integers of at "
+                                 f"least 8, got nx={self.nx!r}, "
+                                 f"ny={self.ny!r}")
         if not (0.0 < self.lx < np.inf and 0.0 < self.ly < np.inf):
             raise ValueError(f"box side lengths must be positive and "
                              f"finite, got lx={self.lx}, ly={self.ly}")
@@ -150,7 +165,7 @@ class ScalarField2D:
         if not np.isfinite(v).all():
             raise NonFiniteError("field values must be finite")
         v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        vars(self)["values"] = v  # bypasses frozen, as cached_property does
 
     @cached_property
     def is_constant(self) -> bool:
@@ -191,6 +206,23 @@ class VectorField2D:
         """Stacked copy of shape (2, ny, nx)."""
         return np.stack([self.u1.values, self.u2.values])
 
+    @cached_property
+    def derivatives(self) -> list[np.ndarray]:
+        """[(u . grad)u, u_hat], stacked (2, ny, nx) and half spectrum,
+        from one forward transform unless from_spectrum seeded it."""
+        return _velocity_bundle(self, *gradient_and_spectrum(
+            self.grid, self.as_array()))
+
+    @classmethod
+    def from_spectrum(cls, grid: Grid2D, h: np.ndarray) -> "VectorField2D":
+        """The velocity whose stacked half spectrum is h, with its bundle
+        seeded from h by inverse passes only (values_and_gradient). h is
+        kept in the bundle, so the caller hands it over."""
+        w, dx, dy = values_and_gradient(grid, h)
+        u = cls.from_arrays(grid, w[0], w[1])
+        vars(u)["derivatives"] = _velocity_bundle(u, dx, dy, h)
+        return u
+
     @classmethod
     def from_arrays(cls, grid: Grid2D, a1, a2) -> "VectorField2D":
         return cls(ScalarField2D(grid, a1), ScalarField2D(grid, a2))
@@ -228,6 +260,33 @@ class DirectorField2D:
         """Stacked copy of shape (3, ny, nx)."""
         return np.stack([self.d1.values, self.d2.values, self.d3.values])
 
+    @cached_property
+    def derivatives(self):
+        """([dx c, dy c, c_hat] per component c, |grad d|^2), c_hat the
+        half spectrum. A constant director gets zero arrays without a
+        transform; its zero c_hat lacks only the mean mode, which no
+        derivative reads, and the readers of c_hat return before reading
+        it."""
+        g = self.grid
+        if self.is_constant:
+            zero, zero_hat = np.zeros(g.shape), np.zeros(g.k2.shape, complex)
+            ders, grad_sq = [[zero, zero, zero_hat]] * 3, zero
+        else:
+            # per component (a stacked pass measured slower to set up),
+            # |grad c|^2 summed through two buffers as each pass ends,
+            # touching fewer pages
+            ders, grad_sq = [], np.zeros(g.shape)
+            term, sq = np.empty(g.shape), np.empty(g.shape)
+            for c in self.components:
+                ders.append(gradient_and_spectrum(g, c.values))
+                gx, gy, _ = ders[-1]
+                np.multiply(gx, gx, out=term)
+                term += np.multiply(gy, gy, out=sq)
+                grad_sq += term
+        for a in (grad_sq, *ders[0], *ders[1], *ders[2]):
+            a.setflags(write=False)
+        return ders, grad_sq
+
     @classmethod
     def from_arrays(cls, grid: Grid2D, a1, a2, a3) -> "DirectorField2D":
         return cls(ScalarField2D(grid, a1), ScalarField2D(grid, a2),
@@ -239,6 +298,22 @@ class DirectorField2D:
         return cls.from_arrays(grid, np.full(grid.shape, e[0]),
                                np.full(grid.shape, e[1]),
                                np.full(grid.shape, e[2]))
+
+
+def _velocity_bundle(u, dx, dy, h) -> list[np.ndarray]:
+    """[(u . grad)u, h], read-only, forming (u . grad)u in dx (and writing
+    into dy)."""
+    dx *= u.u1.values
+    dx += np.multiply(u.u2.values, dy, out=dy)
+    dx.setflags(write=False)
+    h.setflags(write=False)
+    return [dx, h]
+
+
+def release(f):
+    """Drop the derivative bundle of the field f and return it (None if f
+    holds none); its last reader in a step calls this."""
+    return vars(f).pop("derivatives", None)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +402,7 @@ def apply_multiplier(grid: Grid2D, a: np.ndarray, m) -> np.ndarray:
 
 def lp_norm_array(grid: Grid2D, values: np.ndarray, p: float) -> float:
     """L^p norm by the rectangle rule; p = inf returns the grid max of |f|."""
-    if p != np.inf and p < 1:
+    if not p >= 1:  # NaN fails too
         raise ValueError("p must be >= 1 or inf")
     a = np.abs(values)
     if p == np.inf:

@@ -30,12 +30,12 @@ spending the iteration cap. The solve returns the half spectrum its exit
 check transformed.
 
 Either way step_momentum projects a half spectrum, at one call site, and
-seeds the new velocity's derivative bundle (velocity_derivatives:
-(u . grad)u and u_hat) from it with inverse passes only; one y-pass serves
-both u and dx u (fields.values_and_gradient). The next step's foot points,
-the diagnostics sample and the next momentum step read the bundle, and
-that step drops it, so no stage transforms a stepped velocity forward
-again and (u . grad)u is formed once per velocity.
+makes the new velocity from it with its derivative bundle (u.derivatives:
+(u . grad)u and u_hat) by VectorField2D.from_spectrum, with inverse passes
+only. The next step's foot points, the diagnostics sample and the next
+momentum step read the bundle, and that step releases it, so no stage
+transforms a stepped velocity forward again and (u . grad)u is formed once
+per velocity.
 """
 
 from __future__ import annotations
@@ -45,11 +45,8 @@ import math
 import numpy as np
 
 from .fields import (ScalarField2D, VectorField2D, apply_multiplier,
-                     gradient_and_spectrum, half_spectrum, integral,
-                     project_spectrum, real_array, values_and_gradient)
-
-# attribute under which a VectorField2D keeps its derivative bundle
-_BUNDLE = "_derivatives"
+                     half_spectrum, integral, project_spectrum, real_array,
+                     release)
 
 
 class ConvergenceError(RuntimeError):
@@ -122,53 +119,20 @@ def _pcg(grid, m, apply_minv, shift, b, tol, max_iter):
         last = residual
 
 
-def velocity_derivatives(u: VectorField2D) -> list[np.ndarray]:
-    """[(u . grad)u, u_hat]: u's derivative bundle, memoized on u, with
-    (u . grad)u stacked (2, ny, nx) and u_hat the stacked (2, ny, nx//2 + 1)
-    half spectrum of u. A VectorField2D is frozen and its values are
-    read-only, so the bundle cannot go stale.
-
-    step_momentum seeds it on the velocity it returns from the half
-    spectrum it holds; a velocity without one, such as an initial velocity
-    or one read from a snapshot, gets u_hat and the gradient from one
-    forward transform (fields.gradient_and_spectrum) on first request.
-    Either way u1 dx u + u2 dy u is formed once and the gradient is not
-    kept. The foot points, the diagnostics sample and the next momentum
-    step read the bundle, and that step, its last reader, drops it. Its
-    arrays are stored read-only, so no reader can write into them.
-    """
-    bundle = vars(u).get(_BUNDLE)
-    if bundle is None:
-        bundle = _keep(u, *gradient_and_spectrum(u.grid, u.as_array()))
-    return bundle
-
-
-def _keep(u, dx, dy, h):
-    """Memoize [(u . grad)u, h] on u, read-only, forming (u . grad)u in dx
-    (and writing into dy); returns the bundle."""
-    dx *= u.u1.values
-    dx += np.multiply(u.u2.values, dy, out=dy)
-    dx.setflags(write=False)
-    h.setflags(write=False)
-    bundle = [dx, h]
-    object.__setattr__(u, _BUNDLE, bundle)
-    return bundle
-
-
 def advection(u: VectorField2D) -> np.ndarray:
     """(u . grad)u as a stacked (2, ny, nx) array: the read-only array of
-    u's bundle, which readers must not write into."""
-    return velocity_derivatives(u)[0]
+    u's bundle (u.derivatives), which readers must not write into."""
+    return u.derivatives[0]
 
 
 def _right_side(rv, u, force, dt):
     """rho u/dt - rho (u . grad u) - f + lap(u)/2 as a stacked (2, ny, nx)
-    array, lap(u)/2 from the bundle's half spectrum. u's bundle is dropped
+    array, lap(u)/2 from the bundle's half spectrum. u's bundle is released
     once read, so the solve starts without it, and each array is freed as
     soon as it is used."""
     b = (rv / dt) * u.as_array()
     b -= rv * advection(u)
-    b += real_array(u.grid, vars(u).pop(_BUNDLE)[1], -0.5 * u.grid.k2)
+    b += real_array(u.grid, release(u)[1], -0.5 * u.grid.k2)
     b[0] -= force.u1.values
     b[1] -= force.u2.values
     return b
@@ -177,7 +141,7 @@ def _right_side(rv, u, force, dt):
 def _spectral_step(rho, u, force, dt):
     """Unprojected half spectrum of the step at the constant density rho,
     ((c - k^2/2) u_hat - F[rho (u . grad)u + f]) / (c + k^2/2) with
-    c = rho/dt, from one forward transform; drops u's bundle once read."""
+    c = rho/dt, from one forward transform; releases u's bundle once read."""
     g = u.grid
     r = rho * advection(u)
     r[0] += force.u1.values
@@ -185,7 +149,7 @@ def _spectral_step(rho, u, force, dt):
     h = half_spectrum(r)
     del r
     c, half_k2 = rho / dt, 0.5 * g.k2
-    np.subtract((c - half_k2) * vars(u).pop(_BUNDLE)[1], h, out=h)
+    np.subtract((c - half_k2) * release(u)[1], h, out=h)
     h /= c + half_k2
     return h
 
@@ -197,13 +161,13 @@ def step_momentum(rho: ScalarField2D, u: VectorField2D, force: VectorField2D,
 
     `force` is the director body force entering the momentum balance with a
     minus sign on the right-hand side. Returns the divergence-free velocity,
-    with its derivative bundle (velocity_derivatives) seeded from the half
-    spectrum it was made from, with inverse passes only. If `info` is
-    given, it receives the CG iteration count (`cg_iterations`) and the
-    true relative residual at exit (`cg_residual`). A constant density
+    with its derivative bundle seeded from the half spectrum it was made
+    from (VectorField2D.from_spectrum). If `info` is given, it receives
+    the CG iteration count (`cg_iterations`) and the true relative
+    residual at exit (`cg_residual`). A constant density
     (rho.is_constant) is stepped in spectral space, without CG: 0
     iterations and residual 0.0 mean that direct step. (u . grad)u and
-    u_hat come from u's bundle, which the step drops before the solve.
+    u_hat come from u's bundle, which the step releases before the solve.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -233,10 +197,7 @@ def step_momentum(rho: ScalarField2D, u: VectorField2D, force: VectorField2D,
     if info is not None:
         info["cg_iterations"] = iters
         info["cg_residual"] = residual
-    w, dx, dy = values_and_gradient(g, h)
-    out = VectorField2D.from_arrays(g, w[0], w[1])
-    _keep(out, dx, dy, h)
-    return out
+    return VectorField2D.from_spectrum(g, h)
 
 
 def kinetic_energy(rho: ScalarField2D, u: VectorField2D) -> float:

@@ -29,7 +29,7 @@ from .fields import (NonFiniteError, divergence_integral, gradient_integral,
                      half_spectrum, integral, spectral_tail_fraction)
 from .io import export_heatmap, read_csv, write_csv, write_snapshot
 from .momentum import (ConvergenceError, kinetic_energy, material_derivative,
-                       step_momentum, velocity_derivatives)
+                       step_momentum)
 from .scenarios import make_scenario
 from .state import SimState
 from .transport import CFLError, advect_density, cfl_number
@@ -167,11 +167,11 @@ def step_once(state: SimState, cfg: SimConfig, dt: float,
     """One coupled step of size dt from the given state. If `info` is
     given, it receives step_momentum's CG entries and the wall time in
     seconds of each stage: `t_transport`, `t_director`, `t_force` and
-    `t_momentum`. The velocity's derivative bundle
-    (momentum.velocity_derivatives: (u . grad)u and u_hat) is made by the
-    momentum step that makes the velocity, so it counts in `t_momentum`;
-    the foot points and the momentum right side of the next step read it,
-    and that right side drops it."""
+    `t_momentum`. The velocity's derivative bundle (u.derivatives:
+    (u . grad)u and u_hat) is made by the momentum step that makes the
+    velocity, so it counts in `t_momentum`; the foot points and the
+    momentum right side of the next step read it, and that right side
+    releases it."""
     info = {} if info is None else info
     t0 = perf_counter()
     rho1 = advect_density(state.rho, state.u, dt, cfl_limit=cfg.cfl)
@@ -204,7 +204,7 @@ def _sample(state: SimState, cfg: SimConfig, mon: RunMonitors, dt: float
     ke = kinetic_energy(rho, u)
     n = diag.director_norms(d)
     gd2, hess = n.grad_l2_sq, n.hess_l2_sq
-    u_hat = velocity_derivatives(u)[1]
+    u_hat = u.derivatives[1]
     grad_u = gradient_integral(g, u_hat)
     energy = ke + gd2
     drift_q2 = (abs(diag.density_deviation(rho, cfg.rho_bar) - mon.rho0_q2)

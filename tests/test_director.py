@@ -5,11 +5,10 @@ import pytest
 
 from nematic2d import (DegenerateDirectorError, DirectorField2D, Grid2D,
                        SerrinExponents, SerrinMonitor, SimConfig,
-                       VectorField2D, director_derivatives,
-                       director_grad_l2_sq, director_norms, ericksen_stress,
-                       leray_project, renormalize, simulate, step_director,
-                       unit_drift)
-from nematic2d.director import _BUNDLE, FLOOR
+                       VectorField2D, director_grad_l2_sq, director_norms,
+                       ericksen_stress, leray_project, renormalize, simulate,
+                       step_director, unit_drift)
+from nematic2d.director import FLOOR
 from nematic2d.fields import half_spectrum, integral, real_array
 
 from helpers import (circle_director, count_transforms, ericksen_tensor,
@@ -81,7 +80,7 @@ class TestStepDirector:
         rng = np.random.default_rng(33)
         d = renormalize(random_unit_director(grid, rng))
         u = solenoidal_field(grid, rng, amplitude=0.5)
-        ders, gsq = director_derivatives(d)
+        ders, gsq = d.derivatives
         ip = sq = 0.0
         for c, (gx, gy, h) in zip(d.components, ders):
             lap = real_array(grid, h, -grid.k2)
@@ -120,10 +119,10 @@ class TestDerivativeBundle:
         d = random_unit_director(grid, np.random.default_rng(5))
         ericksen_stress(d)
         before = calls.calls()
-        ders, gsq = director_derivatives(d)
+        ders, gsq = d.derivatives
         assert calls.calls() == before
-        fresh_ders, fresh_gsq = director_derivatives(
-            DirectorField2D.from_arrays(grid, *d.as_array()))
+        fresh_ders, fresh_gsq = DirectorField2D.from_arrays(
+            grid, *d.as_array()).derivatives
         # per component: rfft, irfft for dx, fft, then ifft, irfft for dy
         assert calls.calls() == before + 15
         assert np.array_equal(gsq, fresh_gsq)
@@ -133,7 +132,7 @@ class TestDerivativeBundle:
             for a, b in zip(entry, fresh):
                 assert np.array_equal(a, b)
             assert np.array_equal(entry[2], half_spectrum(c.values))
-        assert director_derivatives(d)[1] is gsq
+        assert d.derivatives[1] is gsq
 
     def test_norms_read_the_seeded_spectra(self, grid, calls):
         # director_norms takes lap c and int |grad lap c|^2 from c_hat:
@@ -154,7 +153,7 @@ class TestDerivativeBundle:
         step_director(d, VectorField2D.zeros(grid), 1e-3)
         # the implicit solve only: one transform pair per component
         assert calls.calls() == before + 12
-        director_derivatives(d)
+        d.derivatives
         assert calls.calls() == before + 27
 
     def test_a_run_keeps_only_the_newest_bundle(self):
@@ -164,9 +163,9 @@ class TestDerivativeBundle:
         second = simulate(SimConfig(t_end=0.02, **common), state=first.state,
                           monitors=first.monitors, write_files=False)
         # the state the second segment stepped from gave its bundle up
-        assert _BUNDLE not in vars(first.state.d)
+        assert "derivatives" not in vars(first.state.d)
         last = second.monitors.prev.d
-        assert set(vars(last)) <= {"d1", "d2", "d3", _BUNDLE}
+        assert set(vars(last)) <= {"d1", "d2", "d3", "derivatives"}
 
 
 class TestConstantDirector:
@@ -209,18 +208,18 @@ class TestConstantDirector:
         assert np.array_equal(step_director(fast, u, 1e-3).as_array(),
                               step_director(slow, u, 1e-3).as_array())
         assert not ericksen_stress(slow).as_array().any()
-        ders, gsq = director_derivatives(fast)
+        ders, gsq = fast.derivatives
         assert not gsq.any() and not any(a.any() for x in ders for a in x)
         assert director_norms(slow) == director_norms(fast)
 
     def test_step_drops_the_bundle_it_stepped_from(self, grid, calls):
         d = DirectorField2D.constant(grid, self.E)
         assert director_grad_l2_sq(d) == 0.0 and calls.calls() == 0
-        assert _BUNDLE in vars(d)
+        assert "derivatives" in vars(d)
         u = self.flow(grid)
         calls.clear()
         out = step_director(d, u, 1e-3)
-        assert _BUNDLE not in vars(d) and _BUNDLE not in vars(out)
+        assert "derivatives" not in vars(d) and "derivatives" not in vars(out)
         assert calls.calls() == 0
 
     def test_the_flag_is_set_once_per_field(self, grid):

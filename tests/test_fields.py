@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
-from nematic2d import (Grid2D, ScalarField2D, VectorField2D, divergence,
-                       gradient, laplacian, leray_project, lp_norm,
-                       material_derivative, spectral_tail_fraction,
-                       vector_lp_norm, velocity_from_stream,
-                       velocity_grad_l2_sq)
+from nematic2d import (DirectorField2D, Grid2D, ScalarField2D, SimConfig,
+                       VectorField2D, divergence, gradient, laplacian,
+                       leray_project, lp_norm, material_derivative,
+                       serrin_norm, spectral_tail_fraction, vector_lp_norm,
+                       velocity_from_stream, velocity_grad_l2_sq)
 from nematic2d.fields import (TAIL_CUT, _irfft2, apply_multiplier,
                               gradient_and_spectrum, gradient_integral,
                               half_spectrum, integral, project_spectrum,
@@ -32,10 +34,18 @@ class TestGrid:
         (64, 6, 1.0, 1.0),    # too small
         (64, 64, 0.0, 1.0),   # degenerate box
         (64, 64, 1.0, -2.0),
+        (32.0, 32, 1.0, 1.0),  # not an integer
+        (32, True, 1.0, 1.0),
     ])
     def test_rejects_bad_grids(self, nx, ny, lx, ly):
         with pytest.raises(ValueError):
             Grid2D(nx, ny, lx, ly)
+        # the config validates its grid before a run starts
+        with pytest.raises(ValueError):
+            SimConfig(nx=nx, ny=ny, lx=lx, ly=ly)
+
+    def test_accepts_numpy_integer_sizes(self):
+        assert Grid2D(np.int64(32), 32, 1.0, 1.0).shape == (32, 32)
 
     def test_rejects_nonfinite_values(self, grid):
         vals = np.zeros(grid.shape)
@@ -64,8 +74,16 @@ class TestLpNorm:
         assert lp_norm(f, np.inf) == pytest.approx(1.0, abs=1e-14)
 
     def test_rejects_small_p(self, grid):
-        with pytest.raises(ValueError):
-            lp_norm(ScalarField2D.zeros(grid), 0.5)
+        # NaN fails the check too, instead of giving a NaN norm
+        f = ScalarField2D.zeros(grid)
+        d = DirectorField2D.constant(grid, (0, 0, 1))
+        for p in (0.5, math.nan):
+            with pytest.raises(ValueError):
+                lp_norm(f, p)
+            with pytest.raises(ValueError):
+                vector_lp_norm(VectorField2D(f, f), p)
+            with pytest.raises(ValueError):
+                serrin_norm(d, p)
 
     def test_pythagoras_for_stacked_components(self, grid):
         rng = np.random.default_rng(7)

@@ -18,10 +18,8 @@ from nematic2d import (Grid2D, RunMonitors, ScalarField2D, SimConfig,
                        write_snapshot)
 from nematic2d import diagnostics, simulation
 from nematic2d.cli import main as cli_main
-from nematic2d.director import director_derivatives
 from nematic2d.fields import half_spectrum
 from nematic2d.io import CSV_COLUMNS
-from nematic2d.momentum import _BUNDLE, velocity_derivatives
 from nematic2d.simulation import (STEP_STAGES, _sample, energy_slack,
                                   keep_heap_pages)
 
@@ -394,10 +392,10 @@ class TestFailureOutcomes:
             u = res.state.u
             assert res.summary["failure"]["cause"] == cause
             assert res.summary["failure"]["step"] > 0
-            assert _BUNDLE in vars(u)
-            fresh = velocity_derivatives(
-                VectorField2D.from_arrays(u.grid, *u.as_array()))
-            for kept, want in zip(velocity_derivatives(u), fresh):
+            assert "derivatives" in vars(u)
+            fresh = VectorField2D.from_arrays(u.grid,
+                                              *u.as_array()).derivatives
+            for kept, want in zip(u.derivatives, fresh):
                 scale = np.abs(want).max()
                 assert np.abs(kept - want).max() <= 1e-12 * scale
 
@@ -699,11 +697,11 @@ class TestKeptSpectra:
         mon = RunMonitors.fresh(cfg, state)
         _sample(state, cfg, mon, cfg.dt)
         state = step_once(state, cfg, cfg.dt)
-        adv, u_hat = velocity_derivatives(state.u)
+        adv, u_hat = state.u.derivatives
         kept = u_hat.copy()
         mon.serrin.update(state.d, cfg.dt)
         _sample(state, cfg, mon, cfg.dt)
-        ders, grad_sq = director_derivatives(state.d)
+        ders, grad_sq = state.d.derivatives
         for a in (adv, u_hat, ders[0][2], grad_sq):
             with pytest.raises(ValueError, match="read-only"):
                 a[0, 0] += 1.0

@@ -15,7 +15,7 @@ from nematic2d import (ConvergenceError, Grid2D, RunMonitors, ScalarField2D,
 from nematic2d.diagnostics import velocity_grad_l2_sq
 from nematic2d.fields import (_irfft2, apply_multiplier, integral,
                               project_spectrum, real_array)
-from nematic2d.momentum import _BUNDLE, advection, velocity_derivatives
+from nematic2d.momentum import advection
 from nematic2d.simulation import _sample
 
 from helpers import (band_limited_field, constant_density_step,
@@ -246,7 +246,7 @@ class TestCgSolve:
 
 class TestVelocityTerms:
     """A step reads the velocity's derivatives from its one bundle
-    (velocity_derivatives). A velocity without one, such as an initial
+    (u.derivatives). A velocity without one, such as an initial
     velocity, gets it on first request: from the transport's foot points
     when the density varies, from the momentum right side otherwise. The
     right side is the bundle's last reader and drops it."""
@@ -263,7 +263,7 @@ class TestVelocityTerms:
             # the CG right side, or the spectral step of a constant
             # density; u is the second argument of either
             def spied(*args):
-                seeded.append(_BUNDLE in vars(args[1]))
+                seeded.append("derivatives" in vars(args[1]))
                 return real_side(*args)
             return spied
 
@@ -290,14 +290,14 @@ class TestVelocityTerms:
         state = initial_state(cfg)
         u = state.u
         advect_density(state.rho, u, cfg.dt)
-        assert _BUNDLE in vars(u)
+        assert "derivatives" in vars(u)
         calls = count_transforms(monkeypatch)
-        bundle = velocity_derivatives(u)
+        bundle = u.derivatives
         assert calls.calls() == 0
-        assert bundle is velocity_derivatives(u)
+        assert bundle is u.derivatives
         new = step_once(state, cfg, cfg.dt)
-        assert _BUNDLE not in vars(u)
-        assert _BUNDLE in vars(new.u)  # seeded by the momentum step
+        assert "derivatives" not in vars(u)
+        assert "derivatives" in vars(new.u)  # seeded by the momentum step
 
     def test_seeded_and_fresh_steps_are_bitwise_equal(self, grid,
                                                       monkeypatch):
@@ -313,16 +313,15 @@ class TestVelocityTerms:
         # then ifft, irfft for dy
         assert calls.calls() - n_seeded == n_seeded + 5
         assert np.array_equal(seeded.as_array(), fresh.as_array())
-        for a, b in zip(velocity_derivatives(seeded),
-                        velocity_derivatives(fresh)):
+        for a, b in zip(seeded.derivatives, fresh.derivatives):
             assert np.array_equal(a, b)
 
     def test_right_side_drops_the_bundle(self, grid):
         rho, u = vacuum_disk_density(grid), small_vortex(grid, 0.3)
-        velocity_derivatives(u)
+        u.derivatives
         nematic2d.momentum._right_side(rho.values, u,
                                        VectorField2D.zeros(grid), 1e-3)
-        assert _BUNDLE not in vars(u)
+        assert "derivatives" not in vars(u)
 
     def test_advection_is_formed_once_per_velocity(self, monkeypatch):
         # the foot points, the right side and the sample's material
@@ -404,13 +403,13 @@ class TestDirectSolve:
         # side
         cfg = SimConfig(nx=32, ny=32, dt=1e-3, scenario="angle-condition")
         state = step_once(initial_state(cfg), cfg, cfg.dt)
-        assert state.rho.is_constant and _BUNDLE in vars(state.u)
+        assert state.rho.is_constant and "derivatives" in vars(state.u)
         force = ericksen_stress(state.d)
         want = constant_density_step(state.rho, state.u, force, cfg.dt)
         got = step_momentum(state.rho, state.u, force, cfg.dt)
         assert relative_error(got.as_array(), want) <= 1e-13
         # the seed wrote into no part of the kept half spectrum
-        kept = velocity_derivatives(got)[1]
+        kept = got.derivatives[1]
         assert np.array_equal(_irfft2(kept, cfg.nx), got.as_array())
 
 
@@ -425,7 +424,7 @@ class TestKeptSpectrum:
     def test_seeded_and_fresh_steps_agree(self, grid, density, monkeypatch):
         rho, force = density(grid), random_force(grid, 2.0)
         u = step_momentum(rho, small_vortex(grid, 0.3), force, 1e-3)
-        assert _BUNDLE in vars(u)
+        assert "derivatives" in vars(u)
         copy = VectorField2D.from_arrays(grid, *u.as_array())
         calls = count_transforms(monkeypatch)
         seeded = step_momentum(rho, u, force, 1e-3)
@@ -435,7 +434,7 @@ class TestKeptSpectrum:
         calls.assert_paired()
         assert calls["rfft"] - n_seeded == n_seeded + 1
         assert relative_error(seeded.as_array(), fresh.as_array()) <= 1e-13
-        assert _BUNDLE not in vars(u)
+        assert "derivatives" not in vars(u)
 
     def test_bundle_is_seeded_from_the_spectrum(self, grid, monkeypatch):
         rho = vacuum_disk_density(grid)
@@ -443,9 +442,9 @@ class TestKeptSpectrum:
                           VectorField2D.zeros(grid), 1e-3)
         copy = VectorField2D.from_arrays(grid, *u.as_array())
         calls = count_transforms(monkeypatch)
-        kept = velocity_derivatives(u)
+        kept = u.derivatives
         assert calls.calls() == 0
-        fresh = velocity_derivatives(copy)
+        fresh = copy.derivatives
         # rfft, irfft for dx, fft, then ifft, irfft for dy
         assert calls.calls() == 5
         assert calls["rfft"] == calls["fft"] == calls["ifft"] == 1
@@ -467,7 +466,7 @@ class TestKeptSpectrum:
         u = step_momentum(vacuum_disk_density(grid), small_vortex(grid, 0.3),
                           random_force(grid, 2.0), 1e-3)
         (h, copy), = kept
-        assert velocity_derivatives(u)[1] is h
+        assert u.derivatives[1] is h
         assert np.array_equal(h, copy)
         assert np.array_equal(u.as_array(), _irfft2(h, grid.nx))
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from nematic2d import (Grid2D, d3_min, director_grad_l2_sq, divergence,
-                       kinetic_energy, lp_norm, make_scenario,
+from nematic2d import (DirectorField2D, Grid2D, ScalarField2D, SimState,
+                       VectorField2D, d3_min, director_grad_l2_sq,
+                       divergence, kinetic_energy, lp_norm, make_scenario,
                        smallness_condition, state_violations, unit_drift)
 
 
@@ -57,6 +58,43 @@ def test_all_scenarios_satisfy_state_invariants(grid):
         # velocities are mean-free: the far-field flow is at rest
         assert abs(st.u.u1.values.mean()) < 1e-13
         assert abs(st.u.u2.values.mean()) < 1e-13
+
+
+class TestStateViolations:
+    """Each broken invariant is reported, and only that one."""
+
+    def state(self, grid, rho=None, u=None, d=None):
+        return SimState(
+            rho=rho if rho is not None else ScalarField2D.full(grid, 1.0),
+            u=u if u is not None else VectorField2D.zeros(grid),
+            d=d if d is not None else DirectorField2D.constant(grid,
+                                                               (0, 0, 1)))
+
+    def test_negative_density(self, grid):
+        a = np.ones(grid.shape)
+        a[5, 7] = -0.25
+        out = state_violations(self.state(grid, rho=ScalarField2D(grid, a)))
+        assert out == ["negative density -0.25"]
+
+    def test_non_unit_director(self, grid):
+        d = DirectorField2D.constant(grid, (0.0, 0.0, 1.1))
+        out = state_violations(self.state(grid, d=d))
+        assert len(out) == 1 and out[0].startswith("unit drift 0.21 ")
+
+    def test_non_solenoidal_velocity(self, grid):
+        # u = (sin 2 pi x, 0): ||div u|| = 2 pi ||cos 2 pi x|| = sqrt(2) pi
+        u = VectorField2D(
+            ScalarField2D.from_function(
+                grid, lambda x, y: np.sin(2 * np.pi * x)),
+            ScalarField2D.zeros(grid))
+        out = state_violations(self.state(grid, u=u))
+        assert out == [f"velocity divergence {math.sqrt(2) * math.pi:.3g} "
+                       "above tolerance"]
+        # by Parseval from u's bundle, as the sample's divu_res, and equal
+        # to the real-space norm
+        assert "derivatives" in vars(u)
+        assert lp_norm(divergence(u), 2.0) == pytest.approx(
+            math.sqrt(2) * math.pi, rel=1e-12)
 
 
 def test_rest_is_trivial(grid):
