@@ -35,8 +35,12 @@ class DegenerateDirectorError(RuntimeError):
 
 def unit_drift(d: DirectorField2D) -> float:
     """Max over nodes of | |d|^2 - 1 |."""
-    sq = d.d1.values**2 + d.d2.values**2 + d.d3.values**2
-    return float(np.abs(sq - 1.0).max())
+    sq = np.square(d.d1.values)
+    tmp = np.square(d.d2.values)
+    sq += tmp
+    sq += np.square(d.d3.values, out=tmp)
+    sq -= 1.0
+    return float(np.abs(sq, out=sq).max())
 
 
 def renormalize(d: DirectorField2D) -> DirectorField2D:

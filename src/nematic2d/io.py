@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -60,7 +61,11 @@ def read_csv(path: str | Path) -> dict[str, np.ndarray]:
 
 
 def write_snapshot(path: str | Path, state: SimState) -> None:
-    """Lossless little-endian dump of (rho, u1, u2, d1, d2, d3) plus header."""
+    """Lossless little-endian dump of (rho, u1, u2, d1, d2, d3) plus header.
+    A non-finite time t raises ValueError naming path, and writes nothing."""
+    if not math.isfinite(state.t):
+        raise ValueError(f"{path}: snapshot time t must be finite, "
+                         f"got {state.t!r}")
     g = state.grid
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, g.nx, g.ny,
@@ -82,6 +87,8 @@ def read_snapshot(path: str | Path) -> SimState:
         raise ValueError(f"{path} is not a state snapshot")
     if version != SNAPSHOT_VERSION:
         raise ValueError(f"{path}: unsupported snapshot version {version}")
+    if not math.isfinite(t):
+        raise ValueError(f"{path}: snapshot time t is not finite ({t!r})")
     try:  # a bad grid, payload size or value
         grid = Grid2D(nx, ny, lx, ly)
         n = nx * ny

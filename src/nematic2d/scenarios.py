@@ -4,6 +4,13 @@ All scenarios produce data compatible with the solver's standing assumptions:
 nonnegative density approaching a constant background, exactly unit-length
 directors approaching a constant far-field orientation, and mean-free
 divergence-free velocities supported well inside the periodic box.
+
+Initial data are built from 1-D factors: a term that depends on x alone or
+on y alone (an offset, a sine, a squared offset) is evaluated on the
+length-nx or length-ny coordinate vector and broadcast, never on a
+coordinate meshgrid, and the 2-D arrays that follow are scaled in place.
+Each value is the one the meshgrid formula gives, bitwise, since every
+element sees the same operation on the same operands.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import numpy as np
 
 from .director import unit_drift
 from .fields import (DirectorField2D, Grid2D, ScalarField2D, VectorField2D,
-                     velocity_from_stream)
+                     gradient_and_spectrum)
 from .diagnostics import director_grad_l2_sq
 from .momentum import kinetic_energy
 from .state import SimState
@@ -53,24 +60,44 @@ def _smooth_step(s: np.ndarray) -> np.ndarray:
     return a / (a + b)
 
 
-def _radius(grid: Grid2D, center=None) -> np.ndarray:
-    cx, cy = center if center is not None else (grid.lx / 2.0, grid.ly / 2.0)
-    X, Y = grid.meshgrid()
-    return np.sqrt((X - cx) ** 2 + (Y - cy) ** 2)
+def _coordinates(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
+    """The node coordinates of Grid2D.meshgrid as 1-D factors: x a row
+    (1, nx) and y a column (ny, 1), which broadcast to the grid."""
+    return ((np.arange(grid.nx) * grid.dx)[None, :],
+            (np.arange(grid.ny) * grid.dy)[:, None])
+
+
+def _offsets(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates relative to the box center, as 1-D factors."""
+    x, y = _coordinates(grid)
+    return x - grid.lx / 2.0, y - grid.ly / 2.0
+
+
+def _radius(grid: Grid2D) -> np.ndarray:
+    """Distance from the box center."""
+    x, y = _offsets(grid)
+    r = x**2 + y**2
+    return np.sqrt(r, out=r)
 
 
 def _gaussian_stream_vortex(grid: Grid2D, sigma: float,
                             peak_speed: float) -> VectorField2D:
-    """Solenoidal vortex from a Gaussian stream function, scaled so the
-    largest velocity magnitude equals peak_speed."""
-    r = _radius(grid)
-    psi = ScalarField2D(grid, np.exp(-r**2 / (2.0 * sigma**2)))
-    u = velocity_from_stream(psi)
-    mag = np.hypot(u.u1.values, u.u2.values).max()
+    """Solenoidal vortex (-dy psi, dx psi) from the Gaussian stream function
+    psi, scaled so the largest velocity magnitude equals peak_speed."""
+    psi = _radius(grid)
+    psi **= 2
+    np.negative(psi, out=psi)
+    psi /= 2.0 * sigma**2
+    np.exp(psi, out=psi)
+    gx, gy, _ = gradient_and_spectrum(grid, psi)
+    u1 = np.negative(gy, out=gy)
+    mag = np.hypot(u1, gx).max()
     if mag == 0.0 or peak_speed == 0.0:
         return VectorField2D.zeros(grid)
     s = peak_speed / mag
-    return VectorField2D.from_arrays(grid, s * u.u1.values, s * u.u2.values)
+    u1 *= s
+    gx *= s
+    return VectorField2D.from_arrays(grid, u1, gx)
 
 
 def _stereographic(grid: Grid2D, w_re: np.ndarray,
@@ -96,15 +123,19 @@ def _winding_patch(grid: Grid2D, sigma_frac: float,
     over), pinning min(d3) at (1 - w_max^2)/(1 + w_max^2) on the grid.
     """
     s = sigma_frac * math.pi * math.sqrt(2.0)
-    cx, cy = grid.lx / 2.0, grid.ly / 2.0
-    X, Y = grid.meshgrid()
-    xt = (X - cx) / grid.lx
-    yt = (Y - cy) / grid.ly
-    env = np.exp(-(np.sin(np.pi * xt) ** 2 + np.sin(np.pi * yt) ** 2) / s**2)
+    x, y = _offsets(grid)
+    xt = x / grid.lx
+    yt = y / grid.ly
+    env = np.sin(np.pi * xt) ** 2 + np.sin(np.pi * yt) ** 2
+    np.negative(env, out=env)
+    env /= s**2
+    np.exp(env, out=env)
     wr = np.sin(2.0 * np.pi * xt) * env
-    wi = np.sin(2.0 * np.pi * yt) * env
+    wi = np.multiply(np.sin(2.0 * np.pi * yt), env, out=env)
     c = w_max / np.sqrt(wr**2 + wi**2).max() * (1.0 - 1e-12)
-    return _stereographic(grid, c * wr, c * wi)
+    wr *= c
+    wi *= c
+    return _stereographic(grid, wr, wi)
 
 
 # every scenario parameter is a finite number; these set a width (as a
@@ -178,27 +209,32 @@ def make_scenario(name: str, params: dict | None, grid: Grid2D,
         blob_amp = params.get("rho_blob_amp", 0.5)
         if blob_amp <= -1.0:
             raise ValueError("rho_blob_amp must exceed -1")
-        r = _radius(grid)
-        sigma_rho = 0.15 * L
-        rho = ScalarField2D(grid, rho_bar * (1.0 + blob_amp *
-                                             np.exp(-r**2 / (2.0 * sigma_rho**2))))
+        r_sq = _radius(grid)
+        r_sq **= 2
+        blob = np.negative(r_sq)
+        blob /= 2.0 * (0.15 * L) ** 2
+        np.exp(blob, out=blob)
+        blob *= blob_amp
+        blob += 1.0
+        blob *= rho_bar
+        rho = ScalarField2D(grid, blob)
         # rotate e toward an orthogonal direction by a small localized angle;
         # |grad d|^2 then equals |grad theta|^2, which scales quadratically,
-        # so two scaling passes pin the target
+        # so two passes pin the target: the first rescales theta, and the
+        # second's measurement makes the bundle of the director returned
         p = _orthonormal_to(e)
         sig_t = params.get("theta_sigma_frac", 0.1) * L
-        theta = np.exp(-r**2 / (2.0 * sig_t**2))
+        theta = np.negative(r_sq, out=r_sq)
+        theta /= 2.0 * sig_t**2
+        np.exp(theta, out=theta)
         target = params.get("grad_d_sq_target", 0.005)
-        d = None
-        for _ in range(2):
+        for rescale in (True, False):
+            cos, sin = np.cos(theta), np.sin(theta)
             d = DirectorField2D.from_arrays(
-                grid,
-                np.cos(theta) * e[0] + np.sin(theta) * p[0],
-                np.cos(theta) * e[1] + np.sin(theta) * p[1],
-                np.cos(theta) * e[2] + np.sin(theta) * p[2])
+                grid, *(cos * e[i] + sin * p[i] for i in range(3)))
             measured = director_grad_l2_sq(d)
-            if measured > 0.0:
-                theta = theta * math.sqrt(target / measured)
+            if rescale and measured > 0.0:
+                theta *= math.sqrt(target / measured)
         u = _gaussian_stream_vortex(grid,
                                     params.get("vortex_sigma_frac", 0.12) * L,
                                     1.0)
@@ -231,13 +267,12 @@ def make_scenario(name: str, params: dict | None, grid: Grid2D,
     elif name == "taylor-green":
         _require(params, {"amplitude"}, name)
         amp = params.get("amplitude", 1.0)
-        X, Y = grid.meshgrid()
+        x, y = _coordinates(grid)
+        ax = 2.0 * np.pi * x / grid.lx
+        ay = 2.0 * np.pi * y / grid.ly
         u = VectorField2D.from_arrays(
-            grid,
-            amp * np.sin(2.0 * np.pi * X / grid.lx)
-                * np.cos(2.0 * np.pi * Y / grid.ly),
-            -amp * (grid.ly / grid.lx) * np.cos(2.0 * np.pi * X / grid.lx)
-                 * np.sin(2.0 * np.pi * Y / grid.ly))
+            grid, amp * np.sin(ax) * np.cos(ay),
+            -amp * (grid.ly / grid.lx) * np.cos(ax) * np.sin(ay))
         rho = ScalarField2D.full(grid, rho_bar)
         d = DirectorField2D.constant(grid, e)
 

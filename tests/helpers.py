@@ -10,6 +10,7 @@ from nematic2d import (DirectorField2D, ScalarField2D, VectorField2D,
                        director_grad_l2_sq, director_norms, kinetic_energy,
                        velocity_from_stream, velocity_grad_l2_sq)
 from nematic2d.fields import apply_multiplier
+from nematic2d.scenarios import _orthonormal_to, _smooth_step, _stereographic
 
 
 # every transform numpy.fft offers, so that a call routed through any of
@@ -331,3 +332,103 @@ def phi_functional(samples):
         gb = b.rho_udot_l2_sq + b.dt_d_h1_sq + b.hess_d_h1_sq
         acc += 0.5 * (ga + gb) * (b.t - a.t)
     return math.e + sup + acc
+
+
+# The scenario builders' formulas on coordinate meshgrids, as references:
+# the package builds the same values from 1-D factors, and must match them
+# bitwise.
+
+def meshgrid_radius(grid):
+    """Distance from the box center."""
+    X, Y = grid.meshgrid()
+    return np.sqrt((X - grid.lx / 2.0) ** 2 + (Y - grid.ly / 2.0) ** 2)
+
+
+def meshgrid_vortex(grid, sigma, peak_speed):
+    """The Gaussian stream-function vortex, peak |u| = peak_speed."""
+    r = meshgrid_radius(grid)
+    psi = ScalarField2D(grid, np.exp(-r**2 / (2.0 * sigma**2)))
+    u = velocity_from_stream(psi)
+    mag = np.hypot(u.u1.values, u.u2.values).max()
+    if mag == 0.0 or peak_speed == 0.0:
+        return VectorField2D.zeros(grid)
+    s = peak_speed / mag
+    return VectorField2D.from_arrays(grid, s * u.u1.values, s * u.u2.values)
+
+
+def meshgrid_winding_patch(grid, sigma_frac, w_max):
+    """The degree-one stereographic patch, max |w| = w_max (1 - 1e-12)."""
+    s = sigma_frac * math.pi * math.sqrt(2.0)
+    X, Y = grid.meshgrid()
+    xt = (X - grid.lx / 2.0) / grid.lx
+    yt = (Y - grid.ly / 2.0) / grid.ly
+    env = np.exp(-(np.sin(np.pi * xt) ** 2 + np.sin(np.pi * yt) ** 2) / s**2)
+    wr = np.sin(2.0 * np.pi * xt) * env
+    wi = np.sin(2.0 * np.pi * yt) * env
+    c = w_max / np.sqrt(wr**2 + wi**2).max() * (1.0 - 1e-12)
+    return _stereographic(grid, c * wr, c * wi)
+
+
+def meshgrid_scenario(name, params, grid, rho_bar, e):
+    """(rho, u, d) of make_scenario(name, params, grid, rho_bar, e) from
+    the meshgrid formulas, for parameters make_scenario accepts; e is a
+    unit vector."""
+    e = np.asarray(e, dtype=float)
+    L = min(grid.lx, grid.ly)
+    if name == "vacuum-bubble":
+        r0 = params.get("r0_frac", 0.12) * L
+        r1 = params.get("r1_frac", 0.30) * L
+        r = meshgrid_radius(grid)
+        rho = ScalarField2D(grid, rho_bar * _smooth_step((r - r0) / (r1 - r0)))
+        u = meshgrid_vortex(grid, params.get("vortex_sigma_frac", 0.12) * L,
+                            params.get("vortex_amp", 0.3))
+        return rho, u, DirectorField2D.constant(grid, e)
+    if name == "small-director":
+        r = meshgrid_radius(grid)
+        blob = np.exp(-r**2 / (2.0 * (0.15 * L) ** 2))
+        rho = ScalarField2D(grid, rho_bar * (1.0 + params.get(
+            "rho_blob_amp", 0.5) * blob))
+        p = _orthonormal_to(e)
+        sig_t = params.get("theta_sigma_frac", 0.1) * L
+        theta = np.exp(-r**2 / (2.0 * sig_t**2))
+        for _ in range(2):
+            d = DirectorField2D.from_arrays(
+                grid, *(np.cos(theta) * e[i] + np.sin(theta) * p[i]
+                        for i in range(3)))
+            measured = director_grad_l2_sq(d)
+            if measured > 0.0:
+                theta = theta * math.sqrt(
+                    params.get("grad_d_sq_target", 0.005) / measured)
+        u = meshgrid_vortex(grid, params.get("vortex_sigma_frac", 0.12) * L,
+                            1.0)
+        ke = kinetic_energy(rho, u)
+        s = (math.sqrt(params.get("ke_target", 1.0) / ke) if ke > 0.0
+             else 0.0)
+        return (rho, VectorField2D.from_arrays(grid, s * u.u1.values,
+                                               s * u.u2.values), d)
+    if name in ("angle-condition", "supercritical"):
+        if name == "angle-condition":
+            eps = params.get("epsilon", 0.5)
+            w_max = math.sqrt((1.0 - eps) / (1.0 + eps))
+            amp = params.get("vortex_amp", 0.5)
+        else:
+            w_max = params.get("w_max", 3.0)
+            amp = params.get("vortex_amp", 1.0)
+        d = meshgrid_winding_patch(grid, params.get("sigma_frac", 0.10),
+                                   w_max)
+        return (ScalarField2D.full(grid, rho_bar),
+                meshgrid_vortex(grid, 0.12 * L, amp), d)
+    if name == "taylor-green":
+        amp = params.get("amplitude", 1.0)
+        X, Y = grid.meshgrid()
+        u = VectorField2D.from_arrays(
+            grid,
+            amp * np.sin(2.0 * np.pi * X / grid.lx)
+                * np.cos(2.0 * np.pi * Y / grid.ly),
+            -amp * (grid.ly / grid.lx) * np.cos(2.0 * np.pi * X / grid.lx)
+                 * np.sin(2.0 * np.pi * Y / grid.ly))
+        return (ScalarField2D.full(grid, rho_bar), u,
+                DirectorField2D.constant(grid, e))
+    assert name == "rest", name
+    return (ScalarField2D.full(grid, rho_bar), VectorField2D.zeros(grid),
+            DirectorField2D.constant(grid, e))

@@ -238,6 +238,29 @@ class TestSnapshot:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}"):
             read_snapshot(path)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_is_named_on_read(self, tmp_path, t):
+        # a run resumed from such a file would fail at step 0 on its
+        # first diagnostic, without naming the file
+        path = tmp_path / "s.nlc2"
+        write_snapshot(path, make_scenario("rest", {},
+                                           Grid2D(8, 8, 1.0, 1.0)))
+        raw = path.read_bytes()  # t is the header's last field, bytes 32-40
+        path.write_bytes(raw[:32] + np.array(t, "<f8").tobytes() + raw[40:])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
+                                             "snapshot time t is not finite"):
+            read_snapshot(path)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_is_refused_on_write(self, tmp_path, t):
+        st = make_scenario("rest", {}, Grid2D(8, 8, 1.0, 1.0))
+        st.t = t
+        path = tmp_path / "s.nlc2"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
+                                             "snapshot time t must be finite"):
+            write_snapshot(path, st)
+        assert not path.exists()
+
 
 class TestHeatmap:
     def test_constant_maps_to_midgray(self, tmp_path):
@@ -795,6 +818,19 @@ class TestTransformBudget:
                           "step_momentum": [momentum(k) for k in iters]}
         if scenario == "angle-condition":
             assert staged["step_momentum"] == [7, 7]
+
+
+    @pytest.mark.parametrize("scenario, calls", [
+        ("rest", 0), ("vacuum-bubble", 5), ("small-director", 35),
+        ("angle-condition", 5), ("supercritical", 5), ("taylor-green", 0)])
+    def test_transforms_of_initial_state(self, scenario, calls, monkeypatch):
+        # the vortex takes the gradient of its stream function (5 passes);
+        # small-director also makes the bundle of each of its two trial
+        # directors (15 each), the second of which it returns
+        cfg = SimConfig(nx=32, ny=32, dt=1e-3, scenario=scenario)
+        counter = count_transforms(monkeypatch)
+        initial_state(cfg)
+        assert counter.calls() == calls
 
 
 class TestStageTiming:

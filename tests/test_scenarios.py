@@ -7,6 +7,9 @@ from nematic2d import (DirectorField2D, Grid2D, ScalarField2D, SimState,
                        VectorField2D, d3_min, director_grad_l2_sq,
                        divergence, kinetic_energy, lp_norm, make_scenario,
                        smallness_condition, state_violations, unit_drift)
+from nematic2d.scenarios import SCENARIOS
+
+from helpers import meshgrid_scenario
 
 
 @pytest.fixture
@@ -155,3 +158,36 @@ def test_taylor_green_is_divergence_free_any_box():
     st = make_scenario("taylor-green", {"amplitude": 0.7}, g)
     assert lp_norm(divergence(st.u), 2.0) < 1e-12
     assert np.abs(st.u.u1.values).max() == pytest.approx(0.7, rel=1e-12)
+
+
+# far-field directors: the pole, which every scenario accepts, and a tilted
+# one for the scenarios that take any
+TILTED = (0.6, 0.0, 0.8)
+
+
+@pytest.mark.parametrize("name, params, e", [
+    *[(name, {}, (0.0, 0.0, 1.0)) for name in SCENARIOS],
+    ("rest", {}, TILTED),
+    ("vacuum-bubble", {"r0_frac": 0.1, "vortex_amp": 0.0}, TILTED),
+    ("vacuum-bubble", {"r1_frac": 0.25, "vortex_sigma_frac": 0.2}, TILTED),
+    ("small-director", {"rho_blob_amp": -0.3, "grad_d_sq_target": 0.02,
+                        "ke_target": 0.4}, TILTED),
+    ("small-director", {"grad_d_sq_target": 0.0, "theta_sigma_frac": 0.2},
+     TILTED),
+    ("angle-condition", {"epsilon": 0.9, "sigma_frac": 0.15,
+                         "vortex_amp": 0.0}, (0.0, 0.0, 1.0)),
+    ("supercritical", {"w_max": 2.0}, (0.0, 0.0, 1.0)),
+    ("taylor-green", {"amplitude": -2.5}, TILTED)])
+@pytest.mark.parametrize("grid", [Grid2D(48, 64, 1.3, 0.8),
+                                  Grid2D(96, 32, 0.7, 2.0)],
+                         ids=["48x64", "96x32"])
+def test_initial_data_equal_the_meshgrid_formulas_bitwise(name, params, e,
+                                                          grid):
+    # the scenarios build their data from 1-D factors, with every node
+    # seeing the operations of the meshgrid formula on the same operands
+    st = make_scenario(name, params, grid, rho_bar=1.3, e=e)
+    rho, u, d = meshgrid_scenario(name, params, grid, 1.3, e)
+    assert np.array_equal(st.rho.values, rho.values)
+    for got, want in ((st.u.u1, u.u1), (st.u.u2, u.u2), (st.d.d1, d.d1),
+                      (st.d.d2, d.d2), (st.d.d3, d.d3)):
+        assert np.array_equal(got.values, want.values)
