@@ -24,6 +24,12 @@ from .fields import (Grid2D, ScalarField2D, VectorField2D,
 # families must fall by >= 8 e-foldings before the edge; a Gaussian does so
 # when sigma <= min(lx, ly)/8
 DECAY_EFOLDINGS = 8.0
+# the Ladyzhenskaya check's relative and absolute slack for rounding
+_TOL = 1e-9
+# the band-limited family keeps modes up to a quarter of the Nyquist one
+# and, like the sharpening bumps' widest member, has envelope width 0.1 box
+_KCUT_FRAC = 0.25
+_SIGMA_FRAC = 0.1
 
 
 @dataclass
@@ -40,14 +46,14 @@ def grad_l2(f: ScalarField2D) -> float:
     return math.sqrt(gradient_integral(f.grid, half_spectrum(f.values)))
 
 
-def check_ladyzhenskaya(f: ScalarField2D, tol: float = 1e-9,
+def check_ladyzhenskaya(f: ScalarField2D,
                         family_tag: str = "") -> InequalityReport:
     """||f||_{L4}^2 <= sqrt(2) ||f||_{L2} ||grad f||_{L2} (constant-free)."""
     lhs = lp_norm(f, 4.0) ** 2
     rhs = math.sqrt(2.0) * lp_norm(f, 2.0) * grad_l2(f)
     ratio = None if rhs == 0.0 else lhs / rhs
     return InequalityReport("ladyzhenskaya", lhs, rhs, ratio,
-                            holds=lhs <= rhs * (1.0 + tol) + tol,
+                            holds=lhs <= rhs * (1.0 + _TOL) + _TOL,
                             family_tag=family_tag)
 
 
@@ -126,30 +132,27 @@ def _check_decay(grid: Grid2D, sigma: float) -> None:
             "whole-space emulation needs decay before the edge")
 
 
-def gaussian_blob(grid: Grid2D, sigma: float, amplitude: float = 1.0,
-                  center=None) -> ScalarField2D:
-    """amplitude * exp(-|x - c|^2 / (2 sigma^2)), centered by default."""
+def gaussian_blob(grid: Grid2D, sigma: float) -> ScalarField2D:
+    """exp(-|x - c|^2 / (2 sigma^2)) around the box center c."""
     _check_decay(grid, sigma)
-    cx, cy = center if center is not None else (grid.lx / 2.0, grid.ly / 2.0)
     X, Y = grid.meshgrid()
-    r2 = (X - cx) ** 2 + (Y - cy) ** 2
-    return ScalarField2D(grid, amplitude * np.exp(-r2 / (2.0 * sigma**2)))
+    r2 = (X - grid.lx / 2.0) ** 2 + (Y - grid.ly / 2.0) ** 2
+    return ScalarField2D(grid, np.exp(-r2 / (2.0 * sigma**2)))
 
 
-def random_band_limited(grid: Grid2D, rng: np.random.Generator,
-                        kcut_frac: float = 0.25,
-                        sigma_frac: float = 0.1) -> ScalarField2D:
+def random_band_limited(grid: Grid2D,
+                        rng: np.random.Generator) -> ScalarField2D:
     """Random low-wavenumber field shaped by a Gaussian envelope so it decays
     well inside the box."""
-    sigma = sigma_frac * min(grid.lx, grid.ly)
+    sigma = _SIGMA_FRAC * min(grid.lx, grid.ly)
     _check_decay(grid, sigma)
     # the band on the half spectrum, as whole mode numbers up to
-    # kcut_frac times the Nyquist one along each axis; grid.kx and grid.ky
+    # _KCUT_FRAC times the Nyquist one along each axis; grid.kx and grid.ky
     # read 0 on the Nyquist column and row, which k2 > grad_k2 marks
     mx = np.rint(np.abs(grid.kx) * (grid.lx / (2.0 * np.pi)))
     my = np.rint(np.abs(grid.ky) * (grid.ly / (2.0 * np.pi)))
-    keep = ((mx <= 0.5 * kcut_frac * grid.nx)
-            & (my <= 0.5 * kcut_frac * grid.ny) & (grid.k2 == grid.grad_k2))
+    keep = ((mx <= 0.5 * _KCUT_FRAC * grid.nx)
+            & (my <= 0.5 * _KCUT_FRAC * grid.ny) & (grid.k2 == grid.grad_k2))
     spec = (rng.standard_normal(keep.shape)
             + 1j * rng.standard_normal(keep.shape)) * keep
     base = real_array(grid, spec)
@@ -160,11 +163,10 @@ def random_band_limited(grid: Grid2D, rng: np.random.Generator,
     return ScalarField2D(grid, base * env)
 
 
-def sharpening_bumps(grid: Grid2D, count: int,
-                     base_sigma_frac: float = 0.1) -> list[ScalarField2D]:
+def sharpening_bumps(grid: Grid2D, count: int) -> list[ScalarField2D]:
     """Bumps of fixed height and shrinking width; their sup norm outruns the
     H1 norm, probing the logarithmic correction."""
-    sigma0 = base_sigma_frac * min(grid.lx, grid.ly)
+    sigma0 = _SIGMA_FRAC * min(grid.lx, grid.ly)
     out = []
     for k in range(count):
         sigma = sigma0 / (1.5**k)

@@ -27,8 +27,20 @@ from .diagnostics import director_grad_l2_sq
 from .momentum import kinetic_energy
 from .state import SimState
 
-SCENARIOS = ("rest", "vacuum-bubble", "small-director", "angle-condition",
-             "supercritical", "taylor-green")
+# each scenario's parameters and their defaults: make_scenario accepts
+# these names alone and merges the caller's values over the defaults
+PARAMETERS = {
+    "rest": {},
+    "vacuum-bubble": {"r0_frac": 0.12, "r1_frac": 0.30, "vortex_amp": 0.3,
+                      "vortex_sigma_frac": 0.12},
+    "small-director": {"ke_target": 1.0, "grad_d_sq_target": 0.005,
+                       "theta_sigma_frac": 0.1, "vortex_sigma_frac": 0.12,
+                       "rho_blob_amp": 0.5},
+    "angle-condition": {"epsilon": 0.5, "sigma_frac": 0.10, "vortex_amp": 0.5},
+    "supercritical": {"w_max": 3.0, "sigma_frac": 0.10, "vortex_amp": 1.0},
+    "taylor-green": {"amplitude": 1.0},
+}
+SCENARIOS = tuple(PARAMETERS)
 
 _E3 = np.array([0.0, 0.0, 1.0])
 
@@ -163,50 +175,45 @@ def check_param(key: str, value) -> None:
                          f"nonnegative, got {value!r}")
 
 
-def _require(params: dict, allowed: set[str], name: str) -> None:
-    unknown = set(params) - allowed
-    if unknown:
-        raise ValueError(f"unknown parameters for scenario {name}: "
-                         f"{sorted(unknown)}")
-
-
 def make_scenario(name: str, params: dict | None, grid: Grid2D,
                   rho_bar: float = 1.0, e=(0.0, 0.0, 1.0)) -> SimState:
     """Build the initial state for a named scenario.
 
-    Raises on unknown scenario names, unknown parameters, parameters that
-    check_param rejects, and parameter combinations that fail to produce a
-    unit director.
+    Raises on unknown scenario names, parameters missing from the
+    scenario's PARAMETERS entry, parameters that check_param rejects, and
+    parameter combinations that fail to produce a unit director.
     """
+    if name not in PARAMETERS:
+        raise ValueError(f"unknown scenario {name!r}; pick one of {SCENARIOS}")
     params = dict(params or {})
+    unknown = set(params) - set(PARAMETERS[name])
+    if unknown:
+        raise ValueError(f"unknown parameters for scenario {name}: "
+                         f"{sorted(unknown)}; it takes "
+                         f"{sorted(PARAMETERS[name])}")
     for key, value in params.items():
         check_param(key, value)
+    params = PARAMETERS[name] | params
     e = _unit(e)
     L = min(grid.lx, grid.ly)
     if name == "rest":
-        _require(params, set(), name)
         rho = ScalarField2D.full(grid, rho_bar)
         u = VectorField2D.zeros(grid)
         d = DirectorField2D.constant(grid, e)
 
     elif name == "vacuum-bubble":
-        _require(params, {"r0_frac", "r1_frac", "vortex_amp",
-                          "vortex_sigma_frac"}, name)
-        r0 = params.get("r0_frac", 0.12) * L
-        r1 = params.get("r1_frac", 0.30) * L
+        r0 = params["r0_frac"] * L
+        r1 = params["r1_frac"] * L
         if not 0.0 < r0 < r1:
             raise ValueError("need 0 < r0_frac < r1_frac")
         r = _radius(grid)
         rho = ScalarField2D(grid, rho_bar * _smooth_step((r - r0) / (r1 - r0)))
-        u = _gaussian_stream_vortex(grid,
-                                    params.get("vortex_sigma_frac", 0.12) * L,
-                                    params.get("vortex_amp", 0.3))
+        u = _gaussian_stream_vortex(grid, params["vortex_sigma_frac"] * L,
+                                    params["vortex_amp"])
         d = DirectorField2D.constant(grid, e)
 
     elif name == "small-director":
-        _require(params, {"ke_target", "grad_d_sq_target", "theta_sigma_frac",
-                          "vortex_sigma_frac", "rho_blob_amp"}, name)
-        blob_amp = params.get("rho_blob_amp", 0.5)
+        blob_amp = params["rho_blob_amp"]
         if blob_amp <= -1.0:
             raise ValueError("rho_blob_amp must exceed -1")
         r_sq = _radius(grid)
@@ -223,50 +230,42 @@ def make_scenario(name: str, params: dict | None, grid: Grid2D,
         # so two passes pin the target: the first rescales theta, and the
         # second's measurement makes the bundle of the director returned
         p = _orthonormal_to(e)
-        sig_t = params.get("theta_sigma_frac", 0.1) * L
+        sig_t = params["theta_sigma_frac"] * L
         theta = np.negative(r_sq, out=r_sq)
         theta /= 2.0 * sig_t**2
         np.exp(theta, out=theta)
-        target = params.get("grad_d_sq_target", 0.005)
         for rescale in (True, False):
             cos, sin = np.cos(theta), np.sin(theta)
             d = DirectorField2D.from_arrays(
                 grid, *(cos * e[i] + sin * p[i] for i in range(3)))
             measured = director_grad_l2_sq(d)
             if rescale and measured > 0.0:
-                theta *= math.sqrt(target / measured)
-        u = _gaussian_stream_vortex(grid,
-                                    params.get("vortex_sigma_frac", 0.12) * L,
-                                    1.0)
+                theta *= math.sqrt(params["grad_d_sq_target"] / measured)
+        u = _gaussian_stream_vortex(grid, params["vortex_sigma_frac"] * L, 1.0)
         ke = kinetic_energy(rho, u)
-        ke_target = params.get("ke_target", 1.0)
-        s = math.sqrt(ke_target / ke) if ke > 0.0 else 0.0
+        s = math.sqrt(params["ke_target"] / ke) if ke > 0.0 else 0.0
         u = VectorField2D.from_arrays(grid, s * u.u1.values, s * u.u2.values)
 
     elif name in ("angle-condition", "supercritical"):
-        _require(params, {"epsilon", "w_max", "sigma_frac", "vortex_amp"}, name)
         if np.linalg.norm(e - _E3) > 1e-12:
             raise ValueError(f"scenario {name} is built around the north pole; "
                              "set the far-field director to (0, 0, 1)")
         if name == "angle-condition":
-            eps = params.get("epsilon", 0.5)
+            eps = params["epsilon"]
             if not 0.0 < eps <= 1.0:
                 raise ValueError("epsilon must lie in (0, 1]")
             w_max = math.sqrt((1.0 - eps) / (1.0 + eps))
-            amp = params.get("vortex_amp", 0.5)
         else:
-            w_max = params.get("w_max", 3.0)
+            w_max = params["w_max"]
             if w_max <= 1.0:
                 raise ValueError("supercritical texture needs w_max > 1 to "
                                  "cross the equator")
-            amp = params.get("vortex_amp", 1.0)
-        d = _winding_patch(grid, params.get("sigma_frac", 0.10), w_max)
+        d = _winding_patch(grid, params["sigma_frac"], w_max)
         rho = ScalarField2D.full(grid, rho_bar)
-        u = _gaussian_stream_vortex(grid, 0.12 * L, amp)
+        u = _gaussian_stream_vortex(grid, 0.12 * L, params["vortex_amp"])
 
-    elif name == "taylor-green":
-        _require(params, {"amplitude"}, name)
-        amp = params.get("amplitude", 1.0)
+    else:  # taylor-green
+        amp = params["amplitude"]
         x, y = _coordinates(grid)
         ax = 2.0 * np.pi * x / grid.lx
         ay = 2.0 * np.pi * y / grid.ly
@@ -275,9 +274,6 @@ def make_scenario(name: str, params: dict | None, grid: Grid2D,
             -amp * (grid.ly / grid.lx) * np.cos(ax) * np.sin(ay))
         rho = ScalarField2D.full(grid, rho_bar)
         d = DirectorField2D.constant(grid, e)
-
-    else:
-        raise ValueError(f"unknown scenario {name!r}; pick one of {SCENARIOS}")
 
     if unit_drift(d) > 1e-12:
         raise ValueError("scenario produced a non-unit director")

@@ -684,6 +684,19 @@ class TestCli:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {cfg}:4: scenario.epsilon expects a number"]
 
+    def test_foreign_scenario_parameter_exits_with_an_error(
+            self, tmp_path, capsys):
+        # w_max is supercritical's; angle-condition used to ignore it and
+        # complete
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text("nx = 16\nny = 16\ndt = 0.001\nt_end = 0.002\n"
+                       "scenario = angle-condition\nscenario.w_max = 2.5\n"
+                       f"out_dir = {tmp_path / 'out'}\n")
+        assert cli_main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "angle-condition" in err and "w_max" in err
+        assert not (tmp_path / "out").exists()
+
     def test_check_inequalities_subcommand(self, tmp_path, capsys):
         out = tmp_path / "ineq.csv"
         code = cli_main(["check-inequalities", "--family", "gaussian",

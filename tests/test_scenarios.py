@@ -7,7 +7,7 @@ from nematic2d import (DirectorField2D, Grid2D, ScalarField2D, SimState,
                        VectorField2D, d3_min, director_grad_l2_sq,
                        divergence, kinetic_energy, lp_norm, make_scenario,
                        smallness_condition, state_violations, unit_drift)
-from nematic2d.scenarios import SCENARIOS
+from nematic2d.scenarios import _TARGETS, _WIDTHS, PARAMETERS, SCENARIOS
 
 from helpers import meshgrid_scenario
 
@@ -22,9 +22,33 @@ def test_unknown_scenario_rejected(grid):
         make_scenario("does-not-exist", {}, grid)
 
 
-def test_unknown_parameter_rejected(grid):
-    with pytest.raises(ValueError):
-        make_scenario("rest", {"bogus": 1.0}, grid)
+@pytest.mark.parametrize("name, key", [
+    (name, key) for name in SCENARIOS
+    for key in sorted({"bogus"}.union(*PARAMETERS.values())
+                      - set(PARAMETERS[name]))])
+def test_unknown_parameter_rejected(grid, name, key):
+    # angle-condition used to accept w_max and supercritical epsilon, and
+    # neither read it
+    with pytest.raises(ValueError, match=rf"scenario {name}: \['{key}'\]"):
+        make_scenario(name, {key: 0.5}, grid)
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_the_table_holds_the_defaults(name):
+    # a default written again in a branch would differ from the table's
+    # the moment either changes
+    g = Grid2D(32, 32, 1.0, 1.0)
+    st = make_scenario(name, {}, g)
+    full = make_scenario(name, PARAMETERS[name], g)
+    for got, want in ((st.rho, full.rho), (st.u.u1, full.u.u1),
+                      (st.u.u2, full.u.u2), (st.d.d1, full.d.d1),
+                      (st.d.d2, full.d.d2), (st.d.d3, full.d.d3)):
+        assert np.array_equal(got.values, want.values)
+
+
+def test_checked_names_are_parameters():
+    # check_param knows widths and targets by name alone
+    assert _WIDTHS | _TARGETS <= set().union(*PARAMETERS.values())
 
 
 @pytest.mark.parametrize("name, key, value, message", [
