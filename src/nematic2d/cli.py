@@ -62,9 +62,7 @@ def _family_fields(family: str, count: int, seed: int):
         return grid, [gaussian_blob(grid, s) for s in widths]
     if family == "band-limited":
         return grid, [random_band_limited(grid, rng) for _ in range(count)]
-    if family == "bumps":
-        return grid, sharpening_bumps(grid, count)
-    raise ValueError(f"unknown family {family!r}; pick one of {FAMILIES}")
+    return grid, sharpening_bumps(grid, count)  # "bumps"
 
 
 def _cmd_check_inequalities(args) -> int:

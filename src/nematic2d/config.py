@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .diagnostics import SerrinExponents
 from .fields import Grid2D
-from .scenarios import check_param
+from .scenarios import check_param, check_scenario
 
 _FLOAT_KEYS = {"lx", "ly", "dt", "cfl", "t_end", "rho_bar", "e1", "e2", "e3",
                "serrin_r", "serrin_s", "cg_tol"}
@@ -54,6 +54,7 @@ class SimConfig:
         self.e = tuple(c / n for c in self.e)
         self.grid()  # validates the grid sizes and box
         self.serrin_exponents()  # validates (r, s)
+        check_scenario(self.scenario)
 
     def grid(self) -> Grid2D:
         return Grid2D(self.nx, self.ny, self.lx, self.ly)
@@ -66,9 +67,12 @@ def parse_config(path: str | Path) -> SimConfig:
     """Read a UTF-8 `key = value` file; unknown keys are errors.
 
     Scenario parameters use the `scenario.<name>` prefix and are numbers
-    that scenarios.check_param accepts. A key set twice is an error. Blank
-    lines and lines starting with '#' are skipped. `serrin_r = inf` is
-    accepted.
+    that scenarios.check_param accepts for the file's scenario; they are
+    checked once the whole file is read, since the `scenario` line may
+    follow them. A `scenario` or `scenario.<name>` error names its line,
+    and any other error SimConfig raises names the file. A key set twice is
+    an error. Blank lines and lines starting with '#' are skipped.
+    `serrin_r = inf` is accepted.
     """
     kwargs: dict = {}
     scen: dict = {}
@@ -92,15 +96,10 @@ def parse_config(path: str | Path) -> SimConfig:
             if not pname:
                 raise ValueError(f"{path}:{lineno}: empty scenario parameter")
             try:
-                number = float(value)
+                scen[pname] = float(value)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: {key} expects a number"
                                  ) from None
-            try:
-                check_param(pname, number)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            scen[pname] = number
         elif key in _FLOAT_KEYS or key in _INT_KEYS:
             integer = key in _INT_KEYS
             try:
@@ -114,5 +113,17 @@ def parse_config(path: str | Path) -> SimConfig:
         else:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
 
+    name = kwargs.get("scenario", "rest")
+    try:
+        key = "scenario"  # the key being checked, for the error's line
+        check_scenario(name)
+        for pname, number in scen.items():
+            key = "scenario." + pname
+            check_param(name, pname, number)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{first_line[key]}: {exc}") from None
     e = (kwargs.pop("e1", 0.0), kwargs.pop("e2", 0.0), kwargs.pop("e3", 1.0))
-    return SimConfig(e=e, scenario_params=scen, **kwargs)
+    try:
+        return SimConfig(e=e, scenario_params=scen, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -187,24 +187,39 @@ class ScalarField2D:
         return cls(grid, fn(X, Y))
 
 
+class _Components:
+    """What a field of scalar components on one grid shares; each subclass
+    lists its components in `components`."""
+
+    def __post_init__(self) -> None:
+        g = self.components[0].grid
+        if any(c.grid != g for c in self.components[1:]):
+            raise ValueError(f"{type(self).__name__} components live on "
+                             "different grids")
+
+    @property
+    def grid(self) -> Grid2D:
+        return self.components[0].grid
+
+    def as_array(self) -> np.ndarray:
+        """Stacked copy of shape (number of components, ny, nx)."""
+        return np.stack([c.values for c in self.components])
+
+    @classmethod
+    def from_arrays(cls, grid: Grid2D, *arrays):
+        return cls(*(ScalarField2D(grid, a) for a in arrays))
+
+
 @dataclass(frozen=True, eq=False)
-class VectorField2D:
+class VectorField2D(_Components):
     """Two scalar components (u1, u2) sharing one grid."""
 
     u1: ScalarField2D
     u2: ScalarField2D
 
-    def __post_init__(self) -> None:
-        if self.u1.grid != self.u2.grid:
-            raise ValueError("vector components live on different grids")
-
     @property
-    def grid(self) -> Grid2D:
-        return self.u1.grid
-
-    def as_array(self) -> np.ndarray:
-        """Stacked copy of shape (2, ny, nx)."""
-        return np.stack([self.u1.values, self.u2.values])
+    def components(self) -> tuple[ScalarField2D, ScalarField2D]:
+        return (self.u1, self.u2)
 
     @cached_property
     def derivatives(self) -> list[np.ndarray]:
@@ -224,29 +239,17 @@ class VectorField2D:
         return u
 
     @classmethod
-    def from_arrays(cls, grid: Grid2D, a1, a2) -> "VectorField2D":
-        return cls(ScalarField2D(grid, a1), ScalarField2D(grid, a2))
-
-    @classmethod
     def zeros(cls, grid: Grid2D) -> "VectorField2D":
         return cls(ScalarField2D.zeros(grid), ScalarField2D.zeros(grid))
 
 
 @dataclass(frozen=True, eq=False)
-class DirectorField2D:
+class DirectorField2D(_Components):
     """Sphere-valued orientation field with components (d1, d2, d3)."""
 
     d1: ScalarField2D
     d2: ScalarField2D
     d3: ScalarField2D
-
-    def __post_init__(self) -> None:
-        if not (self.d1.grid == self.d2.grid == self.d3.grid):
-            raise ValueError("director components live on different grids")
-
-    @property
-    def grid(self) -> Grid2D:
-        return self.d1.grid
 
     @property
     def components(self) -> tuple[ScalarField2D, ScalarField2D, ScalarField2D]:
@@ -255,10 +258,6 @@ class DirectorField2D:
     @property
     def is_constant(self) -> bool:
         return all(c.is_constant for c in self.components)
-
-    def as_array(self) -> np.ndarray:
-        """Stacked copy of shape (3, ny, nx)."""
-        return np.stack([self.d1.values, self.d2.values, self.d3.values])
 
     @cached_property
     def derivatives(self):
@@ -286,11 +285,6 @@ class DirectorField2D:
         for a in (grad_sq, *ders[0], *ders[1], *ders[2]):
             a.setflags(write=False)
         return ders, grad_sq
-
-    @classmethod
-    def from_arrays(cls, grid: Grid2D, a1, a2, a3) -> "DirectorField2D":
-        return cls(ScalarField2D(grid, a1), ScalarField2D(grid, a2),
-                   ScalarField2D(grid, a3))
 
     @classmethod
     def constant(cls, grid: Grid2D, e) -> "DirectorField2D":

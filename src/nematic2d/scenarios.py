@@ -150,49 +150,56 @@ def _winding_patch(grid: Grid2D, sigma_frac: float,
     return _stereographic(grid, wr, wi)
 
 
-# every scenario parameter is a finite number; these set a width (as a
-# fraction of the box), which must be positive, or an energy target, which
-# must be nonnegative
-_WIDTHS = {"r0_frac", "r1_frac", "vortex_sigma_frac", "theta_sigma_frac",
-           "sigma_frac"}
-_TARGETS = {"ke_target", "grad_d_sq_target"}
+# every scenario parameter is a finite number; these must also lie in a
+# range, as parameter: (test of the value, wording of the error)
+_WIDTH = (lambda v: v > 0.0, "is a width and must be positive")
+_TARGET = (lambda v: v >= 0.0, "is a target and must be nonnegative")
+_RANGES = {
+    "r0_frac": _WIDTH, "r1_frac": _WIDTH, "vortex_sigma_frac": _WIDTH,
+    "theta_sigma_frac": _WIDTH, "sigma_frac": _WIDTH,
+    "ke_target": _TARGET, "grad_d_sq_target": _TARGET,
+    "rho_blob_amp": (lambda v: v > -1.0, "must exceed -1"),  # keeps rho > 0
+    "epsilon": (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),  # d3 >= eps
+    "w_max": (lambda v: v > 1.0,
+              "must exceed 1 for the texture to cross the equator")}
 
 
-def check_param(key: str, value) -> None:
-    """Raise ValueError naming key unless value is a finite number, and a
-    positive one for a width or a nonnegative one for a target."""
+def check_scenario(name: str) -> None:
+    """Raise ValueError unless name is a scenario of PARAMETERS."""
+    if name not in PARAMETERS:
+        raise ValueError(f"unknown scenario {name!r}; pick one of {SCENARIOS}")
+
+
+def check_param(scenario: str, key: str, value) -> None:
+    """Raise ValueError naming key unless value is a finite number, key is
+    a parameter of the known scenario, and value lies in key's _RANGES
+    entry, if it has one. Checked in that order."""
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ValueError(f"scenario parameter {key} must be a number, "
                          f"got {value!r}")
     if not math.isfinite(value):
         raise ValueError(f"scenario parameter {key} must be finite, "
                          f"got {value!r}")
-    if key in _WIDTHS and not value > 0.0:
-        raise ValueError(f"scenario parameter {key} is a width and must be "
-                         f"positive, got {value!r}")
-    if key in _TARGETS and not value >= 0.0:
-        raise ValueError(f"scenario parameter {key} is a target and must be "
-                         f"nonnegative, got {value!r}")
+    if key not in PARAMETERS[scenario]:
+        raise ValueError(f"unknown parameters for scenario {scenario}: "
+                         f"{[key]}; it takes {sorted(PARAMETERS[scenario])}")
+    if key in _RANGES and not _RANGES[key][0](value):
+        raise ValueError(f"scenario parameter {key} {_RANGES[key][1]}, "
+                         f"got {value!r}")
 
 
 def make_scenario(name: str, params: dict | None, grid: Grid2D,
                   rho_bar: float = 1.0, e=(0.0, 0.0, 1.0)) -> SimState:
     """Build the initial state for a named scenario.
 
-    Raises on unknown scenario names, parameters missing from the
-    scenario's PARAMETERS entry, parameters that check_param rejects, and
+    Raises on unknown scenario names, parameters that check_param rejects
+    (a name missing from the scenario's PARAMETERS entry among them), and
     parameter combinations that fail to produce a unit director.
     """
-    if name not in PARAMETERS:
-        raise ValueError(f"unknown scenario {name!r}; pick one of {SCENARIOS}")
-    params = dict(params or {})
-    unknown = set(params) - set(PARAMETERS[name])
-    if unknown:
-        raise ValueError(f"unknown parameters for scenario {name}: "
-                         f"{sorted(unknown)}; it takes "
-                         f"{sorted(PARAMETERS[name])}")
+    check_scenario(name)
+    params = params or {}
     for key, value in params.items():
-        check_param(key, value)
+        check_param(name, key, value)
     params = PARAMETERS[name] | params
     e = _unit(e)
     L = min(grid.lx, grid.ly)
@@ -213,15 +220,12 @@ def make_scenario(name: str, params: dict | None, grid: Grid2D,
         d = DirectorField2D.constant(grid, e)
 
     elif name == "small-director":
-        blob_amp = params["rho_blob_amp"]
-        if blob_amp <= -1.0:
-            raise ValueError("rho_blob_amp must exceed -1")
         r_sq = _radius(grid)
         r_sq **= 2
         blob = np.negative(r_sq)
         blob /= 2.0 * (0.15 * L) ** 2
         np.exp(blob, out=blob)
-        blob *= blob_amp
+        blob *= params["rho_blob_amp"]
         blob += 1.0
         blob *= rho_bar
         rho = ScalarField2D(grid, blob)
@@ -252,14 +256,9 @@ def make_scenario(name: str, params: dict | None, grid: Grid2D,
                              "set the far-field director to (0, 0, 1)")
         if name == "angle-condition":
             eps = params["epsilon"]
-            if not 0.0 < eps <= 1.0:
-                raise ValueError("epsilon must lie in (0, 1]")
             w_max = math.sqrt((1.0 - eps) / (1.0 + eps))
         else:
             w_max = params["w_max"]
-            if w_max <= 1.0:
-                raise ValueError("supercritical texture needs w_max > 1 to "
-                                 "cross the equator")
         d = _winding_patch(grid, params["sigma_frac"], w_max)
         rho = ScalarField2D.full(grid, rho_bar)
         u = _gaussian_stream_vortex(grid, 0.12 * L, params["vortex_amp"])

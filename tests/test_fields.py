@@ -417,6 +417,20 @@ class TestConstantField:
         assert not f.is_constant
 
 
+@pytest.mark.parametrize("cls, odd", [
+    (cls, odd) for cls in (VectorField2D, DirectorField2D)
+    for odd in range(len(cls.__dataclass_fields__))])
+def test_components_on_different_grids_are_rejected(grid, cls, odd):
+    # one component, in each position, on a grid of another box
+    other = Grid2D(64, 64, 2.0, 1.0)
+    comps = [ScalarField2D.full(other if i == odd else grid, 1.0)
+             for i in range(len(cls.__dataclass_fields__))]
+    with pytest.raises(ValueError, match="different grids"):
+        cls(*comps)
+    assert cls(*comps[:odd], ScalarField2D.full(grid, 1.0),
+               *comps[odd + 1:]).grid == grid
+
+
 # numpy.fft calls per call of each derivative helper: a 2-D transform of
 # the stacked velocity (or of the scalar) is two calls, its x-pass and its
 # y-pass; material_derivative reads the velocity's derivative bundle, which

@@ -105,6 +105,46 @@ out_dir = runs/demo
             parse_config(path)
         assert str(exc.value) == f"{path}:2: {message}"
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("scenario = angle-condition\nscenario.epsilon = 2\n", 2,
+         "scenario parameter epsilon must lie in (0, 1], got 2.0"),
+        ("scenario = supercritical\nscenario.w_max = 0.5\n", 2,
+         "scenario parameter w_max must exceed 1 for the texture to cross "
+         "the equator, got 0.5"),
+        ("scenario = small-director\nscenario.rho_blob_amp = -2\n", 2,
+         "scenario parameter rho_blob_amp must exceed -1, got -2.0"),
+        # the scenario line may come after its parameters
+        ("nx = 16\nscenario.w_max = 2.5\nscenario = angle-condition\n", 2,
+         "unknown parameters for scenario angle-condition: ['w_max']; it "
+         "takes ['epsilon', 'sigma_frac', 'vortex_amp']"),
+        ("nx = 16\nscenario = bogus\n", 2,
+         "unknown scenario 'bogus'; pick one of ('rest', 'vacuum-bubble', "
+         "'small-director', 'angle-condition', 'supercritical', "
+         "'taylor-green')")])
+    def test_scenario_error_names_its_line(self, tmp_path, text, line,
+                                           message):
+        # range and name errors used to surface from make_scenario, in
+        # simulate, without the file
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            parse_config(path)
+        assert str(exc.value) == f"{path}:{line}: {message}"
+
+    @pytest.mark.parametrize("text, message", [
+        ("cfl = -1\n", "cfl must be positive and finite"),
+        ("nx = 7\n", "grid sizes must be even integers of at least 8, "
+         "got nx=7, ny=64"),
+        ("e3 = 0.5\n", "far-field director must be a unit vector"),
+        ("serrin_r = 1\n", "inadmissible exponents (r=1.0, s=4.0)")])
+    def test_setting_error_names_the_file(self, tmp_path, text, message):
+        # SimConfig's errors used to print without the file
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            parse_config(path)
+        assert str(exc.value) == f"{path}: {message}"
+
     def test_defaults_apply(self, tmp_path):
         path = tmp_path / "min.cfg"
         path.write_text("nx = 32\nny = 32\nt_end = 0.01\n")
@@ -121,6 +161,11 @@ out_dir = runs/demo
     def test_rejects_non_unit_far_field(self):
         with pytest.raises(ValueError):
             SimConfig(e=(1.0, 1.0, 1.0))
+
+    def test_rejects_unknown_scenario(self):
+        # used to be found only when simulate built the initial state
+        with pytest.raises(ValueError, match="unknown scenario 'bogus'"):
+            SimConfig(scenario="bogus")
 
     def test_rejects_inadmissible_serrin(self):
         with pytest.raises(ValueError):
@@ -695,6 +740,15 @@ class TestCli:
         assert cli_main(["run", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "angle-condition" in err and "w_max" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_setting_exits_naming_the_config(self, tmp_path, capsys):
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text(f"nx = 16\nny = 16\ncfl = -1\n"
+                       f"out_dir = {tmp_path / 'out'}\n")
+        assert cli_main(["run", str(cfg)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {cfg}: cfl must be positive and finite"]
         assert not (tmp_path / "out").exists()
 
     def test_check_inequalities_subcommand(self, tmp_path, capsys):

@@ -7,7 +7,7 @@ from nematic2d import (DirectorField2D, Grid2D, ScalarField2D, SimState,
                        VectorField2D, d3_min, director_grad_l2_sq,
                        divergence, kinetic_energy, lp_norm, make_scenario,
                        smallness_condition, state_violations, unit_drift)
-from nematic2d.scenarios import _TARGETS, _WIDTHS, PARAMETERS, SCENARIOS
+from nematic2d.scenarios import _RANGES, PARAMETERS, SCENARIOS
 
 from helpers import meshgrid_scenario
 
@@ -47,8 +47,8 @@ def test_the_table_holds_the_defaults(name):
 
 
 def test_checked_names_are_parameters():
-    # check_param knows widths and targets by name alone
-    assert _WIDTHS | _TARGETS <= set().union(*PARAMETERS.values())
+    # a range under a name no scenario takes would never be checked
+    assert set(_RANGES) <= set().union(*PARAMETERS.values())
 
 
 @pytest.mark.parametrize("name, key, value, message", [
@@ -60,13 +60,25 @@ def test_checked_names_are_parameters():
     ("small-director", "theta_sigma_frac", -0.1, "must be positive"),
     ("angle-condition", "sigma_frac", 0.0, "must be positive"),
     ("small-director", "ke_target", -1.0, "must be nonnegative"),
-    ("small-director", "grad_d_sq_target", -1.0, "must be nonnegative")])
+    ("small-director", "grad_d_sq_target", -1.0, "must be nonnegative"),
+    ("angle-condition", "epsilon", 0.0, r"must lie in \(0, 1\]"),
+    ("supercritical", "w_max", 1.0, "must exceed 1 "),
+    ("small-director", "rho_blob_amp", -1.0, "must exceed -1")])
 def test_bad_parameter_value_is_named(grid, name, key, value, message):
     # a zero width used to divide by zero and fail as a non-finite field,
     # a negative one was squared away, ke_target = -1 raised a math domain
     # error and grad_d_sq_target = -1 was ignored
     with pytest.raises(ValueError, match=f"{key} .*{message}"):
         make_scenario(name, {key: value}, grid)
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("angle-condition", "epsilon", 1.0), ("supercritical", "w_max", 1.5),
+    ("small-director", "rho_blob_amp", -0.5)])
+def test_range_edges_are_accepted(grid, name, key, value):
+    # epsilon's closed end, and values just inside the open ends above
+    st = make_scenario(name, {key: value}, grid)
+    assert state_violations(st) == []
 
 
 def test_zero_director_target_gives_the_constant_director(grid):
