@@ -55,6 +55,8 @@ class SimConfig:
         self.grid()  # validates the grid sizes and box
         self.serrin_exponents()  # validates (r, s)
         check_scenario(self.scenario)
+        for key, value in self.scenario_params.items():
+            check_param(self.scenario, key, value)
 
     def grid(self) -> Grid2D:
         return Grid2D(self.nx, self.ny, self.lx, self.ly)

@@ -28,9 +28,9 @@ x-pass alone, before the y-pass that completes the half spectrum, and
 values_and_gradient reads a and dx a from one y-pass of a kept spectrum.
 Passes per call on real a: 5 for gradient_and_spectrum (rfft, irfft;
 fft; ifft, irfft), 4 for apply_multiplier. From a kept spectrum h:
-values_and_gradient 5 (ifft, irfft, irfft; ifft, irfft), lap a =
-real_array(grid, h, -k2) 2, and gradient_integral and divergence_integral
-none.
+values_and_gradient 5 (ifft, irfft for dy, whose spectrum is freed before
+a and dx a take theirs; ifft, irfft, irfft), real_array(grid, h, -k2)
+for lap a 2, and gradient_integral and divergence_integral none.
 
 The velocity and the director act on each other only through their
 derivatives, so each keeps them as one bundle, the cached property
@@ -360,11 +360,11 @@ def values_and_gradient(grid: Grid2D, h: np.ndarray) -> list[np.ndarray]:
     h: one y-pass of h serves a (bitwise real_array(grid, h)) and dx a, so
     5 passes per field. h is not written into."""
     nx = grid.nx
+    dy = _irfft2(1j * grid.ky * h, nx, overwrite=True)
     hy = np.fft.ifft(h, axis=-2)
     a = np.fft.irfft(hy, nx)
     hy *= 1j * grid.kx
-    return [a, np.fft.irfft(hy, nx),
-            _irfft2(1j * grid.ky * h, nx, overwrite=True)]
+    return [a, np.fft.irfft(hy, nx), dy]
 
 
 def gradient_integral(grid: Grid2D, h: np.ndarray) -> float:

@@ -22,8 +22,7 @@ import numpy as np
 
 from .director import unit_drift
 from .fields import (DirectorField2D, Grid2D, ScalarField2D, VectorField2D,
-                     gradient_and_spectrum)
-from .diagnostics import director_grad_l2_sq
+                     gradient_and_spectrum, gradient_integral, half_spectrum)
 from .momentum import kinetic_energy
 from .state import SimState
 
@@ -229,22 +228,21 @@ def make_scenario(name: str, params: dict | None, grid: Grid2D,
         blob += 1.0
         blob *= rho_bar
         rho = ScalarField2D(grid, blob)
-        # rotate e toward an orthogonal direction by a small localized angle;
-        # |grad d|^2 then equals |grad theta|^2, which scales quadratically,
-        # so two passes pin the target: the first rescales theta, and the
-        # second's measurement makes the bundle of the director returned
+        # rotate e toward an orthogonal unit vector p by a small localized
+        # angle: |grad d|^2 = |grad theta|^2 pointwise, so theta is scaled
+        # by its own gradient integral and d is built once, its bundle left
+        # to its first reader
         p = _orthonormal_to(e)
         sig_t = params["theta_sigma_frac"] * L
         theta = np.negative(r_sq, out=r_sq)
         theta /= 2.0 * sig_t**2
         np.exp(theta, out=theta)
-        for rescale in (True, False):
-            cos, sin = np.cos(theta), np.sin(theta)
-            d = DirectorField2D.from_arrays(
-                grid, *(cos * e[i] + sin * p[i] for i in range(3)))
-            measured = director_grad_l2_sq(d)
-            if rescale and measured > 0.0:
-                theta *= math.sqrt(params["grad_d_sq_target"] / measured)
+        measured = gradient_integral(grid, half_spectrum(theta))
+        if measured > 0.0:
+            theta *= math.sqrt(params["grad_d_sq_target"] / measured)
+        cos, sin = np.cos(theta), np.sin(theta)
+        d = DirectorField2D.from_arrays(
+            grid, *(cos * e[i] + sin * p[i] for i in range(3)))
         u = _gaussian_stream_vortex(grid, params["vortex_sigma_frac"] * L, 1.0)
         ke = kinetic_energy(rho, u)
         s = math.sqrt(params["ke_target"] / ke) if ke > 0.0 else 0.0

@@ -47,8 +47,8 @@ def sample_bicubic(grid: Grid2D, values: np.ndarray, ix: np.ndarray,
     coordinates, clamped to the min/max of the four surrounding nodes
     (monotone variant, no new extrema). The result has the shape of ix.
     """
-    # one periodic copy padded by the stencil's reach (1 before, 2 after),
-    # so that node (j0 - 1 + a, i0 - 1 + b) sits at flat index base + a*w + b.
+    # one periodic copy padded by the stencil's reach (1 before, 2 after), so
+    # that node (j0 - 1 + a, i0 - 1 + b) sits at index base of flat[a*w + b:].
     # Each input is freed once its last use is done, since callers may pass
     # temporaries.
     i0 = np.floor(ix)
@@ -73,7 +73,7 @@ def sample_bicubic(grid: Grid2D, values: np.ndarray, ix: np.ndarray,
     for a in range(4):
         row_acc = 0.0
         for b in range(4):
-            v = np.take(flat, base + (a * w + b))
+            v = np.take(flat[a * w + b:], base)
             if a in (1, 2) and b in (1, 2):
                 if lo is None:
                     lo, hi = v.copy(), v.copy()

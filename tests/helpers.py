@@ -9,7 +9,7 @@ import numpy as np
 from nematic2d import (DirectorField2D, ScalarField2D, VectorField2D,
                        director_grad_l2_sq, director_norms, kinetic_energy,
                        velocity_from_stream, velocity_grad_l2_sq)
-from nematic2d.fields import apply_multiplier
+from nematic2d.fields import apply_multiplier, gradient_integral
 from nematic2d.scenarios import _orthonormal_to, _smooth_step, _stereographic
 
 
@@ -391,14 +391,15 @@ def meshgrid_scenario(name, params, grid, rho_bar, e):
         p = _orthonormal_to(e)
         sig_t = params.get("theta_sigma_frac", 0.1) * L
         theta = np.exp(-r**2 / (2.0 * sig_t**2))
-        for _ in range(2):
-            d = DirectorField2D.from_arrays(
-                grid, *(np.cos(theta) * e[i] + np.sin(theta) * p[i]
-                        for i in range(3)))
-            measured = director_grad_l2_sq(d)
-            if measured > 0.0:
-                theta = theta * math.sqrt(
-                    params.get("grad_d_sq_target", 0.005) / measured)
+        # |grad d|^2 = |grad theta|^2, so theta is scaled by its own
+        # gradient integral
+        measured = gradient_integral(grid, np.fft.rfft2(theta))
+        if measured > 0.0:
+            theta = theta * math.sqrt(
+                params.get("grad_d_sq_target", 0.005) / measured)
+        d = DirectorField2D.from_arrays(
+            grid, *(np.cos(theta) * e[i] + np.sin(theta) * p[i]
+                    for i in range(3)))
         u = meshgrid_vortex(grid, params.get("vortex_sigma_frac", 0.12) * L,
                             1.0)
         ke = kinetic_energy(rho, u)

@@ -167,6 +167,15 @@ out_dir = runs/demo
         with pytest.raises(ValueError, match="unknown scenario 'bogus'"):
             SimConfig(scenario="bogus")
 
+    @pytest.mark.parametrize("params, message", [
+        ({"w_max": 2.5}, r"scenario angle-condition: \['w_max'\]"),
+        ({"epsilon": 2.0}, r"epsilon must lie in \(0, 1\]")])
+    def test_rejects_bad_scenario_parameters(self, params, message):
+        # checked at construction: simulate builds the initial state before
+        # its try block, so a bad parameter there writes no summary.json
+        with pytest.raises(ValueError, match=message):
+            SimConfig(scenario="angle-condition", scenario_params=params)
+
     def test_rejects_inadmissible_serrin(self):
         with pytest.raises(ValueError):
             SimConfig(serrin_r=2.5, serrin_s=4.0)
@@ -805,7 +814,7 @@ class TestTransformBudget:
     that adds a pass to a stage shows here. A 2-D transform is two calls,
     its x-pass and its y-pass, and a derivative along x takes the x-pass
     alone. Each director is transformed forward once: RunMonitors.fresh
-    (or the scenario) and then ericksen_stress seed its derivative bundle
+    and then ericksen_stress seed its derivative bundle
     [dx c, dy c, c_hat] per component, which the Serrin update, the
     samples and the next director step read. A constant director,
     vacuum-bubble's, is not transformed at all. The
@@ -858,8 +867,8 @@ class TestTransformBudget:
         # bundle's c_hat per component)
         step, stress, norms = (0, 0, 0) if constant else (12, 21, 6)
         n, mon = cost(RunMonitors.fresh, cfg, state)
-        # the director's bundle, unless the scenario made it
-        assert n <= (0 if constant else 15)
+        # the director's bundle: no scenario makes it
+        assert n == (0 if constant else 15)
         # the first sample makes the initial velocity's bundle: rfft,
         # irfft for dx, fft, then ifft, irfft for dy
         assert cost(_sample, state, cfg, mon, cfg.dt)[0] == 5 + norms
@@ -888,12 +897,12 @@ class TestTransformBudget:
 
 
     @pytest.mark.parametrize("scenario, calls", [
-        ("rest", 0), ("vacuum-bubble", 5), ("small-director", 35),
+        ("rest", 0), ("vacuum-bubble", 5), ("small-director", 7),
         ("angle-condition", 5), ("supercritical", 5), ("taylor-green", 0)])
     def test_transforms_of_initial_state(self, scenario, calls, monkeypatch):
         # the vortex takes the gradient of its stream function (5 passes);
-        # small-director also makes the bundle of each of its two trial
-        # directors (15 each), the second of which it returns
+        # small-director also takes the half spectrum of its angle (2) and
+        # leaves its director's bundle to the monitors
         cfg = SimConfig(nx=32, ny=32, dt=1e-3, scenario=scenario)
         counter = count_transforms(monkeypatch)
         initial_state(cfg)

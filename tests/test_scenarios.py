@@ -154,11 +154,22 @@ def test_vacuum_bubble_has_exact_vacuum_and_background(grid):
     assert np.all(st.rho.values[r > 0.32] == 1.5)
 
 
+@pytest.mark.parametrize("n", [32, 64, 128])
+@pytest.mark.parametrize("e", [(0.0, 0.0, 1.0), (0.6, 0.0, 0.8)],
+                         ids=["pole", "tilted"])
+def test_small_director_meets_its_gradient_target(n, e):
+    # theta is scaled by its own gradient integral, since |grad d|^2 =
+    # |grad theta|^2 for d = cos(theta) e + sin(theta) p
+    st = make_scenario("small-director", {"grad_d_sq_target": 0.02},
+                       Grid2D(n, n, 1.0, 1.0), e=e)
+    assert director_grad_l2_sq(st.d) == pytest.approx(0.02, rel=1e-12)
+
+
 def test_small_director_hits_requested_functionals(grid):
     st = make_scenario("small-director",
                        {"ke_target": 1.0, "grad_d_sq_target": 0.005}, grid)
     assert kinetic_energy(st.rho, st.u) == pytest.approx(1.0, rel=1e-12)
-    assert director_grad_l2_sq(st.d) == pytest.approx(0.005, rel=1e-9)
+    assert director_grad_l2_sq(st.d) == pytest.approx(0.005, rel=1e-12)
     value, ok = smallness_condition(st.rho, st.u, st.d)
     assert ok
     assert value == pytest.approx(math.exp(2.01) * 0.005, rel=1e-6)
