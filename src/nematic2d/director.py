@@ -86,8 +86,8 @@ def step_director(d: DirectorField2D, u: VectorField2D,
     is constant is read from its own values (d.is_constant), so a result of
     the general path that renormalizes to a constant takes this path next.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < np.inf:
+        raise ValueError("dt must be positive and finite")
     if d.grid != u.grid:
         raise ValueError("director and velocity grids differ")
     g = d.grid

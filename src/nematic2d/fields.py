@@ -470,16 +470,19 @@ def leray_project(v: VectorField2D) -> tuple[VectorField2D, ScalarField2D]:
 TAIL_CUT = 0.5
 
 
-def spectral_tail_fraction(f: ScalarField2D) -> float:
+def spectral_tail_fraction(f: ScalarField2D, h: np.ndarray | None = None
+                           ) -> float:
     """Fraction of non-mean spectral energy above TAIL_CUT times the Nyquist
-    wavenumber in either direction; a resolution-loss indicator. 0.0 for a
-    constant field, without the transform, whose rounding would otherwise
-    read as a tail on grids of radix 5 or 7."""
+    wavenumber in either direction; a resolution-loss indicator, read from
+    f's kept half spectrum h if given (a bundle's c_hat). 0.0 for a constant
+    field, read from no spectrum: its rounding would read as a tail on grids
+    of radix 5 or 7."""
     if f.is_constant:
         return 0.0
     g = f.grid
-    fh = half_spectrum(f.values)
-    power = np.abs(fh) ** 2 * g.column_weight
+    if h is None:
+        h = half_spectrum(f.values)
+    power = np.abs(h) ** 2 * g.column_weight
     power[0, 0] = 0.0
     ix = (np.fft.rfftfreq(g.nx) * 2.0)[None, :]  # |kx|/k_nyq in [0, 1]
     iy = np.abs(np.fft.fftfreq(g.ny) * 2.0)[:, None]

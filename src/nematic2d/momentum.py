@@ -10,14 +10,16 @@ back. The operator rho/dt - lap/2 stays uniformly elliptic as rho -> 0, so
 vacuum regions need no density floor. Viscosity and director mobility are
 fixed at 1.
 
-The operator splits as A = M + (rho - mean(rho))/dt with the
-constant-coefficient M = mean(rho)/dt - lap/2, which is inverted spectrally
-and exactly. When rho is constant, A = M and the whole step is taken in
-spectral space, from the half spectrum u_hat that u's bundle keeps: with
-c = rho/dt, b_hat = (c - k^2/2) u_hat - F[rho (u . grad)u + f], then
-u_hat+ = P(b_hat / (c + k^2/2)), with one forward transform, no inverse,
-no conjugate gradients and no residual check. Otherwise preconditioned
-conjugate gradients solve A u* = b. M z = r holds for every
+step_momentum assembles one right side, whatever the density, from u's
+bundle (u.derivatives: (u . grad)u and u_hat), which it then releases:
+b_phys = rho u/dt - rho (u . grad)u - f and b_hat = -k^2 u_hat/2. `solve`
+solves (rho/tau - lap/2) x = b_phys + F^-1[b_hat], tau = dt, and projects
+x's half spectrum. The operator splits as A = M + (rho - mean(rho))/tau
+with the constant-coefficient M = mean(rho)/tau - lap/2, which is inverted
+spectrally and exactly. A constant rho has A = M: solve divides
+F[b_phys] + b_hat by M's multiplier, with one forward transform, no
+inverse and no conjugate gradients. Otherwise preconditioned conjugate
+gradients solve A x = b_phys + F^-1[b_hat]. M z = r holds for every
 preconditioned residual, M p is carried by the recurrence
 M p_k = r_k + beta M p_(k-1) (Eisenstat, SIAM J. Sci. Stat. Comput. 2,
 1981), and A p needs no transform: an iteration costs one forward and one
@@ -26,16 +28,14 @@ recurrence can drift, the true residual b - A x is formed once the
 recursive one meets the tolerance, and CG restarts from it if it misses. A
 restart whose true residual is not below the previous restart's cannot help
 (rounding floors the residual), so the solve then fails at once instead of
-spending the iteration cap. The solve returns the half spectrum its exit
-check transformed.
+spending the iteration cap. CG returns the half spectrum its exit check
+transformed.
 
-Either way step_momentum projects a half spectrum, at one call site, and
-makes the new velocity from it with its derivative bundle (u.derivatives:
-(u . grad)u and u_hat) by VectorField2D.from_spectrum, with inverse passes
-only. The next step's foot points, the diagnostics sample and the next
-momentum step read the bundle, and that step releases it, so no stage
-transforms a stepped velocity forward again and (u . grad)u is formed once
-per velocity.
+The new velocity and its bundle come from solve's half spectrum
+(VectorField2D.from_spectrum, inverse passes only). The next step's foot
+points, the sample and the next momentum step read the bundle, and that
+step releases it, so no stage transforms a stepped velocity forward again
+and (u . grad)u is formed once per velocity.
 """
 
 from __future__ import annotations
@@ -125,33 +125,34 @@ def advection(u: VectorField2D) -> np.ndarray:
     return u.derivatives[0]
 
 
-def _right_side(rv, u, force, dt):
-    """rho u/dt - rho (u . grad u) - f + lap(u)/2 as a stacked (2, ny, nx)
-    array, lap(u)/2 from the bundle's half spectrum. u's bundle is released
-    once read, so the solve starts without it, and each array is freed as
-    soon as it is used."""
-    b = (rv / dt) * u.as_array()
-    b -= rv * advection(u)
-    b += real_array(u.grid, release(u)[1], -0.5 * u.grid.k2)
-    b[0] -= force.u1.values
-    b[1] -= force.u2.values
-    return b
-
-
-def _spectral_step(rho, u, force, dt):
-    """Unprojected half spectrum of the step at the constant density rho,
-    ((c - k^2/2) u_hat - F[rho (u . grad)u + f]) / (c + k^2/2) with
-    c = rho/dt, from one forward transform; releases u's bundle once read."""
-    g = u.grid
-    r = rho * advection(u)
-    r[0] += force.u1.values
-    r[1] += force.u2.values
-    h = half_spectrum(r)
-    del r
-    c, half_k2 = rho / dt, 0.5 * g.k2
-    np.subtract((c - half_k2) * release(u)[1], h, out=h)
-    h /= c + half_k2
-    return h
+def solve(rho: ScalarField2D, tau: float, b_phys: np.ndarray,
+          b_hat: np.ndarray, cg_tol: float, cg_max_iter: int):
+    """(h, iterations, residual): h the projected half spectrum of the x
+    with (rho/tau - lap/2) x = b_phys + F^-1[b_hat], b_phys stacked
+    (2, ny, nx) and b_hat its half spectrum layout, both handed over. A
+    constant rho is solved directly, h = (F[b_phys] + b_hat) /
+    (rho/tau + k^2/2), with 0 iterations and residual 0.0; any other by
+    _pcg on b_phys + F^-1[b_hat], with its iterations and true residual."""
+    g = rho.grid
+    rv = rho.values
+    if rho.is_constant:
+        # b_hat's buffer is kept as h: keeping the transform of b_phys
+        # instead put the peak heap of a 256^2 run 1 MiB higher (glibc)
+        h = b_hat
+        h += half_spectrum(b_phys)
+        h /= rv[0, 0] / tau + 0.5 * g.k2
+        iters, residual = 0, 0.0
+    else:
+        b_phys += real_array(g, b_hat)
+        del b_hat
+        rho_bar = float(rv.mean())
+        m = rho_bar / tau + 0.5 * g.k2
+        minv = 1.0 / m
+        h, iters, residual = _pcg(
+            g, m, lambda a: apply_multiplier(g, a, minv), (rv - rho_bar) / tau,
+            b_phys, cg_tol, cg_max_iter)
+    project_spectrum(g, h)
+    return h, iters, residual
 
 
 def step_momentum(rho: ScalarField2D, u: VectorField2D, force: VectorField2D,
@@ -161,39 +162,35 @@ def step_momentum(rho: ScalarField2D, u: VectorField2D, force: VectorField2D,
 
     `force` is the director body force entering the momentum balance with a
     minus sign on the right-hand side. Returns the divergence-free velocity,
-    with its derivative bundle seeded from the half spectrum it was made
-    from (VectorField2D.from_spectrum). If `info` is given, it receives
-    the CG iteration count (`cg_iterations`) and the true relative
-    residual at exit (`cg_residual`). A constant density
-    (rho.is_constant) is stepped in spectral space, without CG: 0
-    iterations and residual 0.0 mean that direct step. (u . grad)u and
-    u_hat come from u's bundle, which the step releases before the solve.
+    with its derivative bundle seeded from the half spectrum `solve`
+    returned. If `info` is given, it receives the CG iteration count
+    (`cg_iterations`) and the true relative residual at exit
+    (`cg_residual`); 0 and 0.0 mean the direct solve of a constant density.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
     g = u.grid
     if not (rho.grid == g == force.grid):
         raise ValueError("fields live on different grids")
     rv = rho.values
-    lo, hi = rv.min(), rv.max()
-    if lo < 0.0:
+    if rv.min() < 0.0:
         raise ValueError("density must be nonnegative")
-    if hi == 0.0:
+    if rv.max() == 0.0:
         raise ValueError("density must not vanish identically")
 
-    if rho.is_constant:
-        h = _spectral_step(hi, u, force, dt)
-        iters, residual = 0, 0.0
-    else:
-        rho_bar = float(rv.mean())
-        m = rho_bar / dt + 0.5 * g.k2
-        minv = 1.0 / m
-        # the right side is passed as a temporary, so it is freed with the
-        # solve
-        h, iters, residual = _pcg(
-            g, m, lambda a: apply_multiplier(g, a, minv), (rv - rho_bar) / dt,
-            _right_side(rv, u, force, dt), cg_tol, cg_max_iter)
-    project_spectrum(g, h)
+    # b_phys = rho (u/dt - (u . grad)u) - f per component into one buffer,
+    # freed before the new velocity is made; b_hat = -k^2 u_hat/2
+    b = np.empty((2,) + g.shape)
+    adv = advection(u)
+    for k, (uk, fk) in enumerate(zip(u.components, force.components)):
+        np.divide(uk.values, dt, out=b[k])
+        b[k] -= adv[k]
+        b[k] *= rv
+        b[k] -= fk.values
+    del adv
+    h, iters, residual = solve(rho, dt, b, -0.5 * g.k2 * release(u)[1],
+                               cg_tol, cg_max_iter)
+    del b
     if info is not None:
         info["cg_iterations"] = iters
         info["cg_residual"] = residual

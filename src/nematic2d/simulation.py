@@ -258,7 +258,9 @@ def _sample(state: SimState, cfg: SimConfig, mon: RunMonitors, dt: float
 
 def _summary(cfg: SimConfig, state: SimState, mon: RunMonitors,
              failure: dict | None) -> dict:
-    tail = max(spectral_tail_fraction(c) for c in state.d.components)
+    # from the spectra that the last step's stress kept in d's bundle
+    tail = max(spectral_tail_fraction(c, h) for c, (_, _, h) in zip(
+        state.d.components, state.d.derivatives[0]))
     bound = mon.bound.sup + mon.bound.integral
     return {
         "status": "failed" if failure else "completed",

@@ -106,17 +106,17 @@ def advect_density(rho: ScalarField2D, u: VectorField2D, dt: float,
                    cfl_limit: float = 0.9) -> ScalarField2D:
     """One transport step of the density along backward characteristics.
 
-    Requires dt > 0 and a resolved step: cfl_number(u, dt) <= cfl_limit.
-    The output range is contained in the input range pointwise, so
-    nonnegative densities stay nonnegative and vacuum is preserved.
+    Requires 0 < dt < inf and a resolved step: cfl_number(u, dt) <=
+    cfl_limit. The output range is contained in the input range pointwise,
+    so nonnegative densities stay nonnegative and vacuum is preserved.
 
     A constant density (rho.is_constant) passes the same checks and is
     then returned itself, with no foot points and no gather. The general
     path would give it bitwise: the limiter clips each read to the min/max
     of its four corners.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < np.inf:
+        raise ValueError("dt must be positive and finite")
     if rho.grid != u.grid:
         raise ValueError("density and velocity grids differ")
     nu = cfl_number(u, dt)

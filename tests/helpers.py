@@ -250,6 +250,26 @@ def constant_density_step(rho, u, force, dt):
     return np.stack(fft2_project(g, *rows)[:2])
 
 
+def one_step_residual(rho, u, u_new, f, dt):
+    """||P(rho (u' - u)/dt - lap(u' + u)/2 + rho (u . grad)u + f)|| /
+    ||P b|| for the step u -> u' = u_new, b = rho u/dt - rho (u . grad)u
+    - f + lap(u)/2 its right side: zero for the exact momentum step on
+    divergence-free fields, every operator on the full fft2 layout."""
+    g = u.grid
+    rv = rho.values
+    u1, u2 = u.u1.values, u.u2.values
+    res, rhs = [], []
+    for c, c_new, fc in ((u1, u_new.u1.values, f.u1.values),
+                         (u2, u_new.u2.values, f.u2.values)):
+        cx, cy, lap = fft2_derivatives(g, c, 2)
+        lap_new = fft2_derivatives(g, c_new, 2)[2]
+        b = rv * c / dt - rv * (u1 * cx + u2 * cy) - fc + 0.5 * lap
+        rhs.append(b)
+        res.append(rv * c_new / dt - 0.5 * lap_new - b)
+    pr, pb = (np.stack(fft2_project(g, *a)[:2]) for a in (res, rhs))
+    return math.sqrt(np.sum(pr * pr) / np.sum(pb * pb))
+
+
 # Textbook preconditioned CG and the momentum system it solves, as an oracle
 # of step_momentum's solve: A is applied with a transform per component, and
 # M p is never carried by recurrence.

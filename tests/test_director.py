@@ -95,6 +95,13 @@ class TestStepDirector:
         with pytest.raises(ValueError):
             step_director(d, VectorField2D.zeros(grid), -1e-3)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_rejects_non_finite_dt(self, grid, dt):
+        # a constant director would otherwise renormalize and return itself
+        d = DirectorField2D.constant(grid, (0, 0, 1))
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            step_director(d, VectorField2D.zeros(grid), dt)
+
     def test_signals_degeneracy_for_oversized_steps(self, grid):
         # a narrow equator-crossing bubble diffusing into the opposite-pole
         # background cancels to near-zero length when dt outruns the texture

@@ -18,7 +18,7 @@ from nematic2d import (Grid2D, RunMonitors, ScalarField2D, SimConfig,
                        write_snapshot)
 from nematic2d import diagnostics, simulation
 from nematic2d.cli import main as cli_main
-from nematic2d.fields import half_spectrum
+from nematic2d.fields import half_spectrum, spectral_tail_fraction
 from nematic2d.io import CSV_COLUMNS
 from nematic2d.simulation import (STEP_STAGES, _sample, energy_slack,
                                   keep_heap_pages)
@@ -907,6 +907,26 @@ class TestTransformBudget:
         counter = count_transforms(monkeypatch)
         initial_state(cfg)
         assert counter.calls() == calls
+
+
+    @pytest.mark.parametrize("scenario", ["angle-condition",
+                                          "vacuum-bubble"])
+    def test_summary_reads_the_kept_director_spectra(self, scenario,
+                                                     monkeypatch):
+        # the last step's stress made the final director's bundle, so the
+        # tail fraction takes no transform of its own, and reads as
+        # fields.spectral_tail_fraction does from the director itself
+        cfg = SimConfig(nx=32, ny=32, dt=1e-3, t_end=5e-3, scenario=scenario)
+        res = simulate(cfg, write_files=False)
+        assert res.summary["status"] == "completed"
+        counter = count_transforms(monkeypatch)
+        summary = simulation._summary(cfg, res.state, res.monitors, None)
+        assert counter.calls() == 0
+        monkeypatch.undo()
+        want = max(spectral_tail_fraction(c)
+                   for c in res.state.d.components)
+        assert summary["director_tail_fraction"] == want
+        assert (want == 0.0) is (scenario == "vacuum-bubble")
 
 
 class TestStageTiming:

@@ -105,6 +105,13 @@ class TestAdvectDensity:
         with pytest.raises(ValueError):
             advect_density(gaussian_bump(g), VectorField2D.zeros(g), 0.0)
 
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    def test_rejects_non_finite_dt(self, dt):
+        g = Grid2D(32, 32, 1.0, 1.0)
+        u = constant_velocity(g, 0.1, 0.0)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            advect_density(gaussian_bump(g), u, dt)
+
     def test_rejects_cfl_breach(self):
         g = Grid2D(64, 64, 1.0, 1.0)
         u = constant_velocity(g, 10.0, 0.0)
